@@ -18,9 +18,9 @@ from .harness import (ConfigError, DeviationStats, Experiment, ExperimentConfig,
                       synthetic_stations)
 from .io import DataError
 from .noise import SCENARIOS, NoiseModel, build_cw, draw_noise, noiseless, scenario_coefficients
-from .sampling import (SamplingSet, apply_sampling, check_recoverability,
-                       greedy_max_lambda_min, random_sampling, sampled_gram,
-                       stable_step_range)
+from .sampling import (SampledOperator, SamplingSet, apply_sampling,
+                       check_recoverability, greedy_max_lambda_min, random_sampling,
+                       sampled_gram, stable_step_range)
 from .theory import (TheoryCurve, lms_steady_state, lms_theory_exact, lms_theory_paper,
                      rls_steady_state, rls_theory_exact, rls_theory_paper,
                      solve_lms_lyapunov)
@@ -30,8 +30,8 @@ __all__ = [
     "BandBasis", "GftBasis", "Graph", "StationTable",
     "band_select", "build_knn_graph", "gft_basis", "haversine_km", "laplacian",
     "project_bandlimited",
-    "SamplingSet", "apply_sampling", "check_recoverability", "greedy_max_lambda_min",
-    "random_sampling", "sampled_gram", "stable_step_range",
+    "SampledOperator", "SamplingSet", "apply_sampling", "check_recoverability",
+    "greedy_max_lambda_min", "random_sampling", "sampled_gram", "stable_step_range",
     "SCENARIOS", "NoiseModel", "build_cw", "draw_noise", "noiseless", "scenario_coefficients",
     "LmsState", "RlsState", "SignalModel", "error_signal", "lms_init", "lms_msd_trajectory",
     "lms_step", "msd", "msd_db", "rls_gain_matrix", "rls_init", "rls_msd_trajectory", "rls_step",

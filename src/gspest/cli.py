@@ -19,8 +19,7 @@ from . import io as gio
 from ._version import __version__
 from .graph import band_select, build_knn_graph, gft_basis, laplacian
 from .harness import (DEFAULT_BURN_IN, ConfigError, _to_db, prepare_experiment,
-                      run_experiment, synthetic_stations)
-from .theory import lms_theory_exact, lms_theory_paper, rls_theory_exact, rls_theory_paper
+                      run_experiment, synthetic_stations, tail_deviation_db, theory_curves)
 
 DEFAULT_CACHE_DIR = ".gspest-cache"
 
@@ -98,18 +97,7 @@ def cmd_theory(args) -> int:
     config = _apply_overrides(gio.load_config(args.config), args)
     stations = _resolve_stations(config, args.stations)
     basis = _cached_basis(args.cache_dir, stations, config.k)
-    exp = prepare_experiment(config, stations, basis)
-    model = exp.model
-    if config.algorithm == "lms":
-        paper = lms_theory_paper(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                 config.param, config.iterations)
-        exact = lms_theory_exact(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                 config.param, config.iterations)
-    else:
-        paper = rls_theory_paper(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                 config.param, config.iterations)
-        exact = rls_theory_exact(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                 config.param, config.iterations)
+    paper, exact = theory_curves(prepare_experiment(config, stations, basis))
     t = np.arange(1, config.iterations + 1)
     gio.write_theory_csv(args.out, t, _to_db(paper.values), _to_db(exact.values))
     print(f"wrote {args.out} ({config.iterations} iterations, no simulation)")
@@ -126,13 +114,10 @@ def cmd_compare(args) -> int:
     emp = cols["msd_emp_db"][tail]
     report = {"burn_in_fraction": args.burn_in, "n_tail": t_count - start, "modes": {}}
     for mode, col in (("paper", "msd_theory_paper_db"), ("exact", "msd_theory_exact_db")):
-        dev = np.abs(emp - cols[col][tail])
-        report["modes"][mode] = {
-            "max_abs_db": float(np.max(dev)),
-            "mean_abs_db": float(np.mean(dev)),
-        }
-        print(f"{mode}: tail mean |emp - theory| = {np.mean(dev):.4f} dB, "
-              f"max = {np.max(dev):.4f} dB over {t_count - start} iterations")
+        max_abs, mean_abs = tail_deviation_db(emp, cols[col][tail])
+        report["modes"][mode] = {"max_abs_db": max_abs, "mean_abs_db": mean_abs}
+        print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
+              f"max = {max_abs:.4f} dB over {t_count - start} iterations")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

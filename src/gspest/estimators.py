@@ -11,12 +11,13 @@ band basis is orthonormal.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graph import BandBasis
 from .noise import NoiseModel
-from .sampling import SamplingSet, check_recoverability
+from .sampling import SampledOperator, SamplingSet
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,11 @@ class SignalModel:
     @property
     def f(self) -> int:
         return self.band.f
+
+    @cached_property
+    def operator(self) -> SampledOperator:
+        """The sampled Gram operator of this model, decomposed on first use."""
+        return SampledOperator(self.band, self.sampling, self.noise.c_w)
 
 
 @dataclass(frozen=True)
@@ -109,20 +115,7 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
     Requires a recoverable sampling set and strictly positive variances
     (the weighting divides by them).
     """
-    c_w = np.asarray(c_w, dtype=float)
-    if c_w.shape != (band.n,):
-        raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
-    if np.any(c_w <= 0):
-        raise ValueError("RLS weighting needs strictly positive noise variances")
-    ok, lam_min = check_recoverability(band, sampling)
-    if not ok:
-        raise ValueError(f"sampling set not recoverable (lambda_min={lam_min:.3e})")
-    sel = list(sampling.indices)
-    rows = band.u_f[sel, :] / np.sqrt(c_w[sel])[:, None]
-    m_inv = rows.T @ rows
-    m_inv = (m_inv + m_inv.T) / 2
-    m_mat = np.linalg.solve(m_inv, np.eye(band.f))
-    return (m_mat + m_mat.T) / 2
+    return SampledOperator(band, sampling, c_w).gain
 
 
 def rls_init(model: SignalModel, lam: float) -> RlsState:
@@ -179,65 +172,58 @@ def msd_db(value):
     return float(out) if np.isscalar(value) or v.ndim == 0 else out
 
 
-def _noise_block(model: SignalModel, rng: np.random.Generator, steps: int,
-                 frozen_noise: bool) -> np.ndarray:
-    """Noise for a whole run, rows in iteration order.
+def _msd_recursion(model: SignalModel, decay: np.ndarray, gain: np.ndarray,
+                   delta: np.ndarray, n_iter: int, rng: np.random.Generator,
+                   frozen_noise: bool) -> np.ndarray:
+    """Squared norm of the error delta <- decay * delta + w_S @ gain per step.
 
-    Row t is the draw used by step t; with frozen noise one draw is reused
-    for every step. Filling a block this way consumes the generator exactly
-    like per-step draws, so stepwise and batched runs see identical noise.
+    w_S is the step's noise on the sampled nodes; with frozen noise one draw
+    serves every step. Drawing the whole run's noise as one block consumes
+    the generator exactly like per-step draws, so stepwise and batched runs
+    see identical noise. delta must be in orthonormal coordinates, so that
+    its squared norm is the MSD.
     """
+    if n_iter < 1:
+        raise ValueError("need at least one iteration")
     sqrt_cw = np.sqrt(model.noise.c_w)
     if frozen_noise:
         w = sqrt_cw * rng.standard_normal(model.n)
-        return np.broadcast_to(w, (steps, model.n))
-    return rng.standard_normal((steps, model.n)) * sqrt_cw[None, :]
+        noise = np.broadcast_to(w, (n_iter - 1, model.n))
+    else:
+        noise = rng.standard_normal((n_iter - 1, model.n)) * sqrt_cw[None, :]
+    inject = noise[:, list(model.sampling.indices)] @ gain
+    vals = np.empty(n_iter)
+    vals[0] = delta @ delta
+    for t in range(1, n_iter):
+        delta = decay * delta + inject[t - 1]
+        vals[t] = delta @ delta
+    return vals
 
 
 def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
                        rng: np.random.Generator, frozen_noise: bool = False) -> np.ndarray:
-    """MSD curve of one LMS run, computed in band coordinates.
+    """MSD curve of one LMS run, computed in the sampled Gram eigenbasis.
 
     Entry 0 is the error of the zero initial estimate at t = 1; each later
-    entry follows one update with a fresh noise draw. Algebraically
-    identical to iterating lms_step and recording msd.
+    entry follows one update with a fresh noise draw. Each mode i decays by
+    1 - mu * lam_i, so the recursion is elementwise. Algebraically identical
+    to iterating lms_step and recording msd.
     """
-    if n_iter < 1:
-        raise ValueError("need at least one iteration")
-    sel = list(model.sampling.indices)
-    u_s = model.band.u_f[sel, :]
-    a_mat = np.eye(model.f) - mu * (u_s.T @ u_s)
-    noise = _noise_block(model, rng, n_iter - 1, frozen_noise)
-    inject = mu * (noise[:, sel] @ u_s)
-    delta = -model.s_f.copy()
-    vals = np.empty(n_iter)
-    vals[0] = delta @ delta
-    for t in range(1, n_iter):
-        delta = a_mat @ delta + inject[t - 1]
-        vals[t] = delta @ delta
-    return vals
+    op = model.operator
+    return _msd_recursion(model, 1.0 - mu * op.lam, mu * (op.rows @ op.v),
+                          -(op.v.T @ model.s_f), n_iter, rng, frozen_noise)
 
 
 def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
                        rng: np.random.Generator, frozen_noise: bool = False) -> np.ndarray:
     """MSD curve of one RLS run, computed in band coordinates.
 
-    Same conventions as the LMS trajectory; algebraically identical to
-    iterating rls_step and recording msd.
+    Same conventions as the LMS trajectory, but every coordinate decays by
+    lam; algebraically identical to iterating rls_step and recording msd.
     """
-    if n_iter < 1:
-        raise ValueError("need at least one iteration")
     if not 0 < lam <= 1:
         raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    m_mat = rls_gain_matrix(model.band, model.sampling, model.noise.c_w)
-    sel = list(model.sampling.indices)
-    gain = (1.0 - lam) * ((model.band.u_f[sel, :] / model.noise.c_w[sel][:, None]) @ m_mat)
-    noise = _noise_block(model, rng, n_iter - 1, frozen_noise)
-    inject = noise[:, sel] @ gain
-    delta = -model.s_f.copy()
-    vals = np.empty(n_iter)
-    vals[0] = delta @ delta
-    for t in range(1, n_iter):
-        delta = lam * delta + inject[t - 1]
-        vals[t] = delta @ delta
-    return vals
+    op = model.operator
+    gain = (1.0 - lam) * ((op.rows / op.c_s[:, None]) @ op.gain)
+    return _msd_recursion(model, np.full(model.f, lam), gain, -model.s_f,
+                          n_iter, rng, frozen_noise)

@@ -4,7 +4,7 @@ An experiment fixes the graph, band, sampling set, noise law and estimator
 parameters, then averages the per-iteration squared error over independent
 runs. Averaging happens in linear units; decibels are taken of the average.
 Every random ingredient derives from one master seed, so identical configs
-reproduce bit-identical results no matter how runs are scheduled.
+reproduce bit-identical results.
 
 Seed layout: the covariance draw uses child key (1,), random sampling child
 key (2,), and run r the child key (3, r) of the master seed.
@@ -13,17 +13,15 @@ key (2,), and run r the child key (3, r) of the master seed.
 import hashlib
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .estimators import SignalModel, lms_msd_trajectory, rls_msd_trajectory
-from .graph import (BandBasis, Graph, StationTable, band_select, build_knn_graph,
-                    gft_basis, laplacian, project_bandlimited)
+from .graph import (BandBasis, StationTable, band_select, build_knn_graph, gft_basis,
+                    laplacian, project_bandlimited)
 from .noise import build_cw, noiseless, scenario_coefficients
-from .sampling import (SamplingSet, check_recoverability, greedy_max_lambda_min,
-                       random_sampling, stable_step_range)
+from .sampling import SamplingSet, greedy_max_lambda_min, random_sampling
 from .theory import (TheoryCurve, lms_theory_exact, lms_theory_paper,
                      rls_theory_exact, rls_theory_paper)
 
@@ -57,7 +55,6 @@ class ExperimentConfig:
     master_seed: int
     sampling_strategy: str = "greedy"  # "greedy" | "random"
     noise_protocol: str = "iid"  # "iid" | "frozen"
-    workers: int = 1
     stations_csv: str | None = None
     n_stations: int = 299
     stations_seed: int = 2018
@@ -81,7 +78,7 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
         errors.append(f"forgetting factor must satisfy 0 < param <= 1, got {config.param}")
     elif config.algorithm == "lms" and config.param <= 0:
         errors.append(f"step size must be positive, got {config.param}")
-    for name in ("k", "bandwidth", "sample_size", "iterations", "runs", "workers"):
+    for name in ("k", "bandwidth", "sample_size", "iterations", "runs"):
         value = getattr(config, name)
         if not isinstance(value, int) or value < 1:
             errors.append(f"{name} must be a positive integer, got {value!r}")
@@ -166,7 +163,7 @@ class Experiment:
 
     config: ExperimentConfig
     stations: StationTable
-    graph: Graph
+    n_edges: int
     band: BandBasis
     sampling: SamplingSet
     model: SignalModel
@@ -177,7 +174,8 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
     """Build graph, band, sampling set, noise law and target signal.
 
     ``stations`` defaults to the synthetic table; ``basis`` may carry a
-    cached eigendecomposition of the graph Laplacian.
+    cached eigendecomposition of the graph Laplacian, in which case the
+    k-NN graph is not rebuilt.
     """
     validate_config(config)
     if stations is None:
@@ -185,9 +183,8 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
             raise ValueError("stations_csv is set; load the table and pass it in")
         stations = synthetic_stations(config.n_stations, config.stations_seed)
     validate_config(config, n_nodes=stations.n)
-    graph = build_knn_graph(stations, config.k)
     if basis is None:
-        basis = gft_basis(laplacian(graph))
+        basis = gft_basis(laplacian(build_knn_graph(stations, config.k)))
     elif basis.n != stations.n:
         raise ValueError("cached basis does not match the station table")
     band = band_select(basis, config.bandwidth)
@@ -195,9 +192,6 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         sampling = greedy_max_lambda_min(band, config.sample_size)
     else:
         sampling = random_sampling(band, config.sample_size, sampling_seed(config.master_seed))
-    ok, lam_min = check_recoverability(band, sampling)
-    if not ok:
-        raise ValueError(f"sampling set not recoverable (lambda_min={lam_min:.3e})")
     n_a, n_b = config.scenario_pair()
     if n_a == 0 and n_b == 0:
         noise = noiseless(stations.n)
@@ -205,8 +199,22 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         noise = build_cw(n_a, n_b, stations.n, covariance_seed(config.master_seed))
     s_f, x_o = project_bandlimited(band, stations.signal)
     model = SignalModel(band=band, s_f=s_f, x_o=x_o, sampling=sampling, noise=noise)
-    return Experiment(config=config, stations=stations, graph=graph, band=band,
+    model.operator.require_recoverable()
+    # trace L = 2|E| for an unweighted graph
+    n_edges = int(round(float(np.sum(basis.eigenvalues)) / 2))
+    return Experiment(config=config, stations=stations, n_edges=n_edges, band=band,
                       sampling=sampling, model=model)
+
+
+def theory_curves(exp: Experiment) -> tuple[TheoryCurve, TheoryCurve]:
+    """The literal ("paper") and exact theory curves of the experiment."""
+    cfg, model = exp.config, exp.model
+    if cfg.algorithm == "lms":
+        paper, exact = lms_theory_paper, lms_theory_exact
+    else:
+        paper, exact = rls_theory_paper, rls_theory_exact
+    return (paper(model.operator, model.s_f, cfg.param, cfg.iterations),
+            exact(model.operator, model.s_f, cfg.param, cfg.iterations))
 
 
 @dataclass(frozen=True)
@@ -256,6 +264,12 @@ def _to_db(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def tail_deviation_db(emp_db: np.ndarray, theory_db: np.ndarray) -> tuple[float, float]:
+    """Max and mean of |emp - theory| over two tail curves in decibels."""
+    dev = np.abs(np.asarray(emp_db, dtype=float) - np.asarray(theory_db, dtype=float))
+    return float(np.max(dev)), float(np.mean(dev))
+
+
 def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> DeviationStats:
     """Tail deviation report; the tail starts after the burn-in fraction."""
     if not 0 <= burn_in_fraction < 1:
@@ -265,8 +279,8 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     tail = slice(start, t_count)
     n_tail = t_count - start
     emp_db = result.msd_mean_db[tail]
-    paper_dev = np.abs(emp_db - result.theory_paper_db[tail])
-    exact_dev = np.abs(emp_db - result.theory_exact_db[tail])
+    paper_max, paper_mean = tail_deviation_db(emp_db, result.theory_paper_db[tail])
+    exact_max, exact_mean = tail_deviation_db(emp_db, result.theory_exact_db[tail])
     mean_lin = result.msd_mean[tail]
     se_lin = result.msd_se[tail]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,10 +299,10 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     return DeviationStats(
         burn_in_fraction=float(burn_in_fraction),
         n_tail=n_tail,
-        paper_max_abs_db=float(np.max(paper_dev)),
-        paper_mean_abs_db=float(np.mean(paper_dev)),
-        exact_max_abs_db=float(np.max(exact_dev)),
-        exact_mean_abs_db=float(np.mean(exact_dev)),
+        paper_max_abs_db=paper_max,
+        paper_mean_abs_db=paper_mean,
+        exact_max_abs_db=exact_max,
+        exact_mean_abs_db=exact_mean,
         tail_se_db=tail_se_db,
         exact_tail_z=exact_tail_z,
     )
@@ -299,58 +313,36 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     """Run the full pipeline: prepare, simulate R runs, average, compare.
 
     Per-run noise comes from child seeds of (master_seed, run index), so the
-    result is bit-identical for a given config regardless of the worker
-    count; runs are reduced in ascending index order.
+    result is bit-identical for a given config; runs are reduced in
+    ascending index order.
     """
     exp = prepare_experiment(config, stations, basis)
     model, cfg = exp.model, exp.config
     t_count, n_runs = cfg.iterations, cfg.runs
     frozen = cfg.noise_protocol == "frozen"
-    if cfg.algorithm == "lms":
-        theory_paper = lms_theory_paper(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                        cfg.param, t_count)
-        theory_exact = lms_theory_exact(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                        cfg.param, t_count)
-
-        def one_run(r: int) -> np.ndarray:
-            return lms_msd_trajectory(model, cfg.param, t_count, run_rng(cfg.master_seed, r),
-                                      frozen_noise=frozen)
-    else:
-        theory_paper = rls_theory_paper(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                        cfg.param, t_count)
-        theory_exact = rls_theory_exact(exp.band, exp.sampling, model.s_f, model.noise.c_w,
-                                        cfg.param, t_count)
-
-        def one_run(r: int) -> np.ndarray:
-            return rls_msd_trajectory(model, cfg.param, t_count, run_rng(cfg.master_seed, r),
-                                      frozen_noise=frozen)
-
+    theory_paper, theory_exact = theory_curves(exp)
+    trajectory = lms_msd_trajectory if cfg.algorithm == "lms" else rls_msd_trajectory
     per_run = np.empty((n_runs, t_count))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for r, row in enumerate(pool.map(one_run, range(n_runs))):
-                per_run[r] = row
-    else:
-        for r in range(n_runs):
-            per_run[r] = one_run(r)
+    for r in range(n_runs):
+        per_run[r] = trajectory(model, cfg.param, t_count, run_rng(cfg.master_seed, r),
+                                frozen_noise=frozen)
     msd_mean = per_run.mean(axis=0)
     if n_runs > 1:
         msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
     else:
         msd_se = np.zeros(t_count)
-    ok, lam_min = check_recoverability(exp.band, exp.sampling)
     metadata = {
         "scenario": cfg.scenario if isinstance(cfg.scenario, str) else list(cfg.scenario_pair()),
         "scenario_coefficients": list(cfg.scenario_pair()),
         "sampling_indices": list(exp.sampling.indices),
-        "lambda_min": lam_min,
+        "lambda_min": model.operator.lam_min,
         "n_stations": exp.stations.n,
-        "n_edges": exp.graph.n_edges,
+        "n_edges": exp.n_edges,
         "signal_energy": float(model.s_f @ model.s_f),
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
     }
     if cfg.algorithm == "lms":
-        mu_max = stable_step_range(exp.band, exp.sampling)[1]
+        mu_max = model.operator.mu_max
         metadata["mu_max"] = mu_max
         metadata["stable"] = bool(cfg.param < mu_max)
         if cfg.param >= mu_max:

@@ -7,6 +7,7 @@ also fixes the stable range of adaptation step sizes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,60 @@ def sampled_gram(band: BandBasis, sampling: SamplingSet) -> np.ndarray:
     return (gram + gram.T) / 2
 
 
+class SampledOperator:
+    """The sampled Gram matrix U_S^T U_S of one experiment, decomposed once.
+
+    The error recursion of both estimators is diagonal in its eigenbasis V:
+    LMS scales mode i by 1 - mu * lam_i per step, RLS every mode by its
+    forgetting factor. c_w is the noise covariance diagonal over all nodes.
+    """
+
+    def __init__(self, band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
+        c_w = np.asarray(c_w, dtype=float)
+        if c_w.shape != (band.n,):
+            raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
+        if np.any(c_w < 0) or not np.isfinite(c_w).all():
+            raise ValueError("variances must be finite and nonnegative")
+        self.band = band
+        self.c_w = c_w
+        self.c_s = c_w[list(sampling.indices)]  # variances on the sampled nodes
+        self.rows = band.u_f[list(sampling.indices), :]  # U_S, shape (m, f)
+        self.lam, self.v = np.linalg.eigh(sampled_gram(band, sampling))
+        self.lam_min = float(self.lam[0])
+        self.mu_max = 2.0 / float(self.lam[-1])  # LMS is stable for 0 < mu < mu_max
+
+    def require_recoverable(self) -> None:
+        if self.lam_min <= RECOVERABILITY_TOL:
+            raise ValueError(f"sampling set not recoverable (lambda_min={self.lam_min:.3e})")
+
+    @cached_property
+    def noise_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode noise terms (z, y) of the LMS theory; needs a recoverable set.
+
+        z is the noise energy each Gram mode receives per step, y the per-mode
+        sum of noise standard deviations in the literal expression's cross term.
+        """
+        self.require_recoverable()
+        zmat = ((self.rows * np.sqrt(self.c_s)[:, None]) @ self.v).T  # (f, m)
+        return np.einsum("ij,ij->i", zmat, zmat), zmat.sum(axis=1)
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve.
+
+        Needs a recoverable set and strictly positive variances (the
+        weighting divides by them).
+        """
+        if np.any(self.c_w <= 0):
+            raise ValueError("RLS weighting needs strictly positive noise variances")
+        self.require_recoverable()
+        rows = self.rows / np.sqrt(self.c_s)[:, None]
+        m_inv = rows.T @ rows
+        m_inv = (m_inv + m_inv.T) / 2
+        m_mat = np.linalg.solve(m_inv, np.eye(self.band.f))
+        return (m_mat + m_mat.T) / 2
+
+
 def check_recoverability(band: BandBasis, sampling: SamplingSet) -> tuple[bool, float]:
     """Whether the sampled Gram matrix is invertible in practice.
 
@@ -86,11 +141,9 @@ def stable_step_range(band: BandBasis, sampling: SamplingSet) -> tuple[float, fl
     mu_max = 2 / lambda_max of the sampled Gram matrix. Raises on a
     non-recoverable sampling set.
     """
-    ok, lam_min = check_recoverability(band, sampling)
-    if not ok:
-        raise ValueError(f"sampling set not recoverable (lambda_min={lam_min:.3e})")
-    lam_max = float(np.linalg.eigvalsh(sampled_gram(band, sampling))[-1])
-    return 0.0, 2.0 / lam_max
+    op = SampledOperator(band, sampling, np.zeros(band.n))  # the noise plays no part
+    op.require_recoverable()
+    return 0.0, op.mu_max
 
 
 def _arrowhead_min_eig(d: np.ndarray, beta: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -198,8 +251,8 @@ def random_sampling(band: BandBasis, m: int, seed, max_attempts: int = 100) -> S
     """Uniform random sampling set, retried until recoverable.
 
     Draws size-m subsets without replacement and returns the first one whose
-    Gram matrix passes the recoverability check; raises after max_attempts
-    failures. Deterministic given the seed.
+    Gram matrix passes the recoverability check; raises ValueError after
+    max_attempts failures. Deterministic given the seed.
     """
     n, f = band.n, band.f
     if not f <= m <= n:
@@ -211,4 +264,4 @@ def random_sampling(band: BandBasis, m: int, seed, max_attempts: int = 100) -> S
         ok, _ = check_recoverability(band, cand)
         if ok:
             return cand
-    raise RuntimeError(f"no recoverable sampling set found in {max_attempts} attempts")
+    raise ValueError(f"no recoverable sampling set found in {max_attempts} attempts")

@@ -13,17 +13,16 @@ Two modes are produced for each estimator:
   covariance recursion. This is the mode Monte Carlo runs converge to.
 
 Both start at t = 1 with the full signal energy (zero initial estimate) and
-are evaluated per iteration from one eigendecomposition of the sampled Gram
-matrix followed by elementwise powers.
+are evaluated per iteration from the eigendecomposition of the sampled Gram
+matrix that a SampledOperator holds, followed by elementwise powers.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import rls_gain_matrix
 from .graph import BandBasis
-from .sampling import RECOVERABILITY_TOL, SamplingSet, sampled_gram
+from .sampling import RECOVERABILITY_TOL, SampledOperator, SamplingSet, sampled_gram
 
 _MODES = ("paper", "exact")
 _ALGORITHMS = ("lms", "rls")
@@ -58,28 +57,11 @@ def _check_t_max(t_max: int) -> int:
     return t_max
 
 
-def _lms_eigensystem(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
-    """Eigendecomposition of the sampled Gram plus noise weights per mode.
-
-    Returns (lam, v, z, y) where lam/v diagonalize the Gram matrix, z holds
-    the per-mode noise energies and y the per-mode noise sums entering the
-    cross term.
-    """
-    c_w = np.asarray(c_w, dtype=float)
-    if c_w.shape != (band.n,):
-        raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
-    if np.any(c_w < 0) or not np.isfinite(c_w).all():
-        raise ValueError("variances must be finite and nonnegative")
-    gram = sampled_gram(band, sampling)
-    lam, v = np.linalg.eigh(gram)
-    if lam[0] <= RECOVERABILITY_TOL:
-        raise ValueError(f"sampling set not recoverable (lambda_min={lam[0]:.3e})")
-    sel = list(sampling.indices)
-    scaled = band.u_f[sel, :] * np.sqrt(c_w[sel])[:, None]  # (m, f)
-    zmat = (scaled @ v).T  # (f, m)
-    z = np.einsum("ij,ij->i", zmat, zmat)
-    y = zmat.sum(axis=1)
-    return lam, v, z, y
+def _check_signal(op: SampledOperator, s_f: np.ndarray) -> np.ndarray:
+    s_f = np.asarray(s_f, dtype=float)
+    if s_f.shape != (op.band.f,):
+        raise ValueError(f"s_f shape {s_f.shape} != ({op.band.f},)")
+    return s_f
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -91,8 +73,8 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def lms_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
-                     c_w: np.ndarray, mu: float, t_max: int) -> TheoryCurve:
+def lms_theory_paper(op: SampledOperator, s_f: np.ndarray, mu: float,
+                     t_max: int) -> TheoryCurve:
     """Literal frozen-noise closed form for the LMS transient.
 
     Three terms per iteration: the decaying squared bias, a cross term
@@ -101,10 +83,10 @@ def lms_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     restricted to the stable range.
     """
     t_max = _check_t_max(t_max)
-    lam, v, z, y = _lms_eigensystem(band, sampling, c_w)
-    shat = v.T @ np.asarray(s_f, dtype=float)
-    a_pow = _powers(1.0 - mu * lam, t_max)  # (f, t)
-    ramp = (a_pow - 1.0) / lam[:, None]
+    z, y = op.noise_modes
+    shat = op.v.T @ _check_signal(op, s_f)
+    a_pow = _powers(1.0 - mu * op.lam, t_max)  # (f, t)
+    ramp = (a_pow - 1.0) / op.lam[:, None]
     term_bias = (shat**2) @ (a_pow**2)
     term_cross = 2.0 * ((shat * y) @ (a_pow * ramp))
     term_noise = z @ (ramp**2)
@@ -116,8 +98,8 @@ def lms_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     )
 
 
-def lms_theory_exact(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
-                     c_w: np.ndarray, mu: float, t_max: int) -> TheoryCurve:
+def lms_theory_exact(op: SampledOperator, s_f: np.ndarray, mu: float,
+                     t_max: int) -> TheoryCurve:
     """Exact expected MSD of LMS under independently redrawn noise.
 
     Equals the trace of the error covariance P(t) propagated by
@@ -125,9 +107,9 @@ def lms_theory_exact(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     decouples in the Gram eigenbasis, giving a per-mode geometric series.
     """
     t_max = _check_t_max(t_max)
-    lam, v, z, y = _lms_eigensystem(band, sampling, c_w)
-    shat = v.T @ np.asarray(s_f, dtype=float)
-    decay = (1.0 - mu * lam) ** 2
+    z, _ = op.noise_modes
+    shat = op.v.T @ _check_signal(op, s_f)
+    decay = (1.0 - mu * op.lam) ** 2
     d_pow = _powers(decay, t_max)  # (f, t)
     steps = np.arange(t_max, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,34 +156,27 @@ def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
     return (p_mat + p_mat.T) / 2
 
 
-def lms_steady_state(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
-                     mu: float, mode: str) -> float:
-    """Large-t limit of the LMS theory curve in the requested mode."""
+def lms_steady_state(op: SampledOperator, mu: float, mode: str) -> float:
+    """Large-t limit of the LMS theory curve in the requested mode.
+
+    Both are sums over Gram modes: the exact limit of mu^2 z_i / (1 - a_i^2)
+    with a_i = 1 - mu lam_i, the literal one of z_i / lam_i^2.
+    """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    lam, v, z, y = _lms_eigensystem(band, sampling, c_w)
-    radius = float(np.max(np.abs(1.0 - mu * lam)))
+    z, _ = op.noise_modes
+    decay = 1.0 - mu * op.lam
+    radius = float(np.max(np.abs(decay)))
     if radius >= 1.0:
         raise ValueError(f"step size {mu} is unstable (spectral radius {radius:.6f})")
     if mode == "paper":
         # frozen-noise limit: expected squared bias of the fixed point
-        return float(np.sum(z / lam**2))
-    return float(np.trace(solve_lms_lyapunov(band, sampling, c_w, mu)))
+        return float(np.sum(z / op.lam**2))
+    return float((mu**2) * np.sum(z / (1.0 - decay**2)))
 
 
-def _rls_inputs(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
-                c_w: np.ndarray, lam: float):
-    if not 0 < lam <= 1:
-        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    m_mat = rls_gain_matrix(band, sampling, c_w)  # validates c_w > 0, recoverability
-    s_f = np.asarray(s_f, dtype=float)
-    if s_f.shape != (band.f,):
-        raise ValueError(f"s_f shape {s_f.shape} != ({band.f},)")
-    return s_f, m_mat
-
-
-def rls_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
-                     c_w: np.ndarray, lam: float, t_max: int) -> TheoryCurve:
+def rls_theory_paper(op: SampledOperator, s_f: np.ndarray, lam: float,
+                     t_max: int) -> TheoryCurve:
     """Literal frozen-noise closed form for the RLS transient.
 
     The geometric bias decay, a cross term with the substituted noise
@@ -209,10 +184,11 @@ def rls_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     gain matrix.
     """
     t_max = _check_t_max(t_max)
-    s_f, m_mat = _rls_inputs(band, sampling, s_f, c_w, lam)
-    c_w = np.asarray(c_w, dtype=float)
-    sel = list(sampling.indices)
-    whitened = band.u_f[sel, :].T @ (1.0 / np.sqrt(c_w[sel]))  # (f,)
+    if not 0 < lam <= 1:
+        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
+    m_mat = op.gain  # validates c_w > 0, recoverability
+    s_f = _check_signal(op, s_f)
+    whitened = op.rows.T @ (1.0 / np.sqrt(op.c_s))  # (f,)
     cross = float(s_f @ (m_mat @ whitened))
     gain_trace = float(np.trace(m_mat))
     lp = np.power(lam, np.arange(t_max, dtype=float))
@@ -225,15 +201,18 @@ def rls_theory_paper(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     )
 
 
-def rls_theory_exact(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
-                     c_w: np.ndarray, lam: float, t_max: int) -> TheoryCurve:
+def rls_theory_exact(op: SampledOperator, s_f: np.ndarray, lam: float,
+                     t_max: int) -> TheoryCurve:
     """Exact expected MSD of RLS under independently redrawn noise.
 
     Trace of P(t+1) = lam^2 P(t) + (1 - lam)^2 M, summed in closed form.
     At lam = 1 no update happens and the curve is constant.
     """
     t_max = _check_t_max(t_max)
-    s_f, m_mat = _rls_inputs(band, sampling, s_f, c_w, lam)
+    if not 0 < lam <= 1:
+        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
+    m_mat = op.gain
+    s_f = _check_signal(op, s_f)
     energy = float(s_f @ s_f)
     lp = np.power(lam, np.arange(t_max, dtype=float))
     if lam == 1.0:
@@ -249,15 +228,13 @@ def rls_theory_exact(band: BandBasis, sampling: SamplingSet, s_f: np.ndarray,
     )
 
 
-def rls_steady_state(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
-                     lam: float, mode: str) -> float:
+def rls_steady_state(op: SampledOperator, lam: float, mode: str) -> float:
     """Large-t limit of the RLS theory curve; requires lam < 1 to converge."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     if not 0 < lam < 1:
         raise ValueError(f"steady state needs 0 < lam < 1, got {lam}")
-    m_mat = rls_gain_matrix(band, sampling, c_w)
-    gain_trace = float(np.trace(m_mat))
+    gain_trace = float(np.trace(op.gain))
     if mode == "paper":
         # frozen-noise limit: independent of the forgetting factor
         return gain_trace

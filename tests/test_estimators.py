@@ -194,16 +194,19 @@ class TestTrajectories:
             slow.append(msd(model, state.s_hat))
         assert_allclose(fast, slow, rtol=1e-11)
 
-    def test_frozen_noise_reuses_one_draw(self, setup10):
+    @pytest.mark.parametrize("trajectory, init, step, param", [
+        (lms_msd_trajectory, lms_init, lms_step, 0.5),
+        (rls_msd_trajectory, rls_init, rls_step, 0.7),
+    ], ids=["lms", "rls"])
+    def test_frozen_noise_reuses_one_draw(self, setup10, trajectory, init, step, param):
         model = setup10.model
-        fast = lms_msd_trajectory(model, 0.5, 40, np.random.default_rng(23),
-                                  frozen_noise=True)
+        fast = trajectory(model, param, 40, np.random.default_rng(23), frozen_noise=True)
         rng = np.random.default_rng(23)
         w = draw_noise(model.noise, rng)
-        state = lms_init(model, 0.5)
+        state = init(model, param)
         slow = [msd(model, state.s_hat)]
         for _ in range(39):
-            state = lms_step(state, model, w)
+            state = step(state, model, w)
             slow.append(msd(model, state.s_hat))
         assert_allclose(fast, slow, rtol=1e-11)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gspest import ConfigError, ExperimentConfig, compare, prepare_experiment, run_experiment
+from gspest import (ConfigError, ExperimentConfig, build_knn_graph, compare, gft_basis,
+                    laplacian, prepare_experiment, run_experiment)
+from gspest import harness
 from gspest.harness import (
     covariance_seed,
     run_rng,
@@ -80,8 +82,6 @@ class TestConfigValidation:
     def test_bad_protocol_and_workers(self):
         with pytest.raises(ConfigError):
             validate_config(config(noise_protocol="warm"))
-        with pytest.raises(ConfigError):
-            validate_config(config(workers=0))
 
     def test_node_count_checks(self):
         with pytest.raises(ConfigError):
@@ -118,7 +118,7 @@ class TestSeedScheme:
 
 class TestPrepareExperiment:
     def test_pipeline_shapes(self, setup10):
-        assert setup10.graph.n == 10
+        assert setup10.stations.n == 10
         assert setup10.band.f == 4
         assert setup10.sampling.size == 6
         assert setup10.model.s_f.shape == (4,)
@@ -147,12 +147,6 @@ class TestRunExperiment:
         b = run_experiment(config())
         assert_array_equal(a.msd_mean, b.msd_mean)
         assert_array_equal(a.msd_se, b.msd_se)
-
-    def test_deterministic_across_worker_counts(self):
-        a = run_experiment(config(workers=1))
-        b = run_experiment(config(workers=3))
-        assert_array_equal(a.msd_mean, b.msd_mean)
-        assert_array_equal(a.per_run, b.per_run)
 
     def test_seed_matters(self):
         a = run_experiment(config())
@@ -217,6 +211,31 @@ class TestRunExperiment:
         res = run_experiment(config(algorithm="rls", param=0.7, iterations=30))
         assert res.msd_mean.shape == (30,)
         assert np.isfinite(res.msd_mean).all()
+
+    @pytest.mark.parametrize("algorithm, param", [("lms", 0.5), ("rls", 0.7)])
+    def test_one_decomposition_per_experiment(self, monkeypatch, stations10, setup10,
+                                              algorithm, param):
+        # the sampled Gram is eigendecomposed once and the RLS gain solved
+        # once per experiment, not once per run
+        basis = gft_basis(laplacian(build_knn_graph(stations10, BASE["k"])))
+        monkeypatch.setattr(harness, "greedy_max_lambda_min", lambda band, m: setup10.sampling)
+        counts = {"eig": 0, "solve": 0}
+
+        def count(name, kind):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                counts[kind] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        for name, kind in (("eigh", "eig"), ("eigvalsh", "eig"), ("solve", "solve"),
+                           ("inv", "solve")):
+            count(name, kind)
+        res = run_experiment(config(algorithm=algorithm, param=param, runs=8), basis=basis)
+        assert res.metadata["sampling_indices"] == list(setup10.sampling.indices)
+        assert counts["eig"] == 1
+        assert counts["solve"] <= 1
 
 
 class TestFrozenProtocol:

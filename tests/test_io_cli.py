@@ -159,7 +159,7 @@ class TestParseConfig:
             gio.parse_config({**SMALL_CONFIG, "param": -0.5})
 
     def test_config_to_dict_round_trip(self):
-        config = small_config(scenario=(0.03, 0.01), workers=2)
+        config = small_config(scenario=(0.03, 0.01))
         assert gio.parse_config(gio.config_to_dict(config)) == config
 
     def test_load_config_rejects_bad_json(self, tmp_path):
@@ -422,6 +422,25 @@ class TestCliErrors:
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
         assert "runs" in capsys.readouterr().err
+
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, workers=1)
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert "unknown key 'workers'" in capsys.readouterr().err
+
+    def test_random_sampling_without_recoverable_set_exits_2(self, tmp_path, capsys):
+        # on the 299-station table at k=8, f=120, m=150, master seed 23 draws
+        # no recoverable random set within the attempt limit
+        config_path = write_config(tmp_path, sampling_strategy="random", k=8, bandwidth=120,
+                                   sample_size=150, master_seed=23, n_stations=299)
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: no recoverable sampling set found in 100 attempts"]
 
     def test_malformed_results_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "res.csv"

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from gspest import (
     BandBasis,
+    SampledOperator,
     TheoryCurve,
     lms_steady_state,
     lms_theory_exact,
@@ -102,10 +103,10 @@ class TestCurveStart:
         band, sampling, s_f, c_w = model_parts(setup10)
         energy = float(s_f @ s_f)
         for curve in (
-            lms_theory_paper(band, sampling, s_f, c_w, 0.5, 10),
-            lms_theory_exact(band, sampling, s_f, c_w, 0.5, 10),
-            rls_theory_paper(band, sampling, s_f, c_w, 0.7, 10),
-            rls_theory_exact(band, sampling, s_f, c_w, 0.7, 10),
+            lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.5, 10),
+            lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 10),
+            rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.7, 10),
+            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.7, 10),
         ):
             assert_allclose(curve.values[0], energy, rtol=1e-10)
             assert curve.values.shape == (10,)
@@ -123,48 +124,49 @@ class TestLmsCurves:
     def test_paper_matches_matrix_evaluation(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for mu in (0.3, 0.5, 1.2):
-            fast = lms_theory_paper(band, sampling, s_f, c_w, mu, 60).values
+            fast = lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, mu, 60).values
             slow = naive_lms_paper(band, sampling, s_f, c_w, mu, 60)
             assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
     def test_exact_matches_covariance_recursion(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for mu in (0.3, 0.5, 1.2):
-            fast = lms_theory_exact(band, sampling, s_f, c_w, mu, 60).values
+            fast = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, mu, 60).values
             slow = naive_lms_exact(band, sampling, s_f, c_w, mu, 60)
             assert_allclose(fast, slow, rtol=1e-10)
 
     def test_noise_free_modes_coincide(self, setup10):
         band, sampling, s_f, _ = model_parts(setup10)
         zero = np.zeros(band.n)
-        paper = lms_theory_paper(band, sampling, s_f, zero, 0.5, 40).values
-        exact = lms_theory_exact(band, sampling, s_f, zero, 0.5, 40).values
+        paper = lms_theory_paper(SampledOperator(band, sampling, zero), s_f, 0.5, 40).values
+        exact = lms_theory_exact(SampledOperator(band, sampling, zero), s_f, 0.5, 40).values
         assert_allclose(paper, exact, rtol=1e-12)
 
     def test_mu_zero_is_constant(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         energy = float(s_f @ s_f)
-        assert_allclose(lms_theory_paper(band, sampling, s_f, c_w, 0.0, 20).values,
+        assert_allclose(lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.0, 20).values,
                         energy, rtol=1e-12)
-        assert_allclose(lms_theory_exact(band, sampling, s_f, c_w, 0.0, 20).values,
+        assert_allclose(lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.0, 20).values,
                         energy, rtol=1e-12)
 
     def test_rejects_nonrecoverable_sampling(self, setup10):
         band, _, s_f, c_w = model_parts(setup10)
         bad = SamplingSet(indices=(0, 1), n=band.n)
         with pytest.raises(ValueError):
-            lms_theory_paper(band, bad, s_f, c_w, 0.5, 10)
+            lms_theory_paper(SampledOperator(band, bad, c_w), s_f, 0.5, 10)
 
     def test_unstable_step_is_allowed_and_grows(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         _, mu_max = stable_step_range(band, sampling)
-        curve = lms_theory_exact(band, sampling, s_f, c_w, 1.05 * mu_max, 400).values
+        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.05 * mu_max,
+                                 400).values
         assert curve[-1] > 1e3 * curve[0]
 
     def test_exact_converges_monotonically_near_tail(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(band, sampling, c_w, 0.5, "exact")
-        curve = lms_theory_exact(band, sampling, s_f, c_w, 0.5, 300).values
+        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact")
+        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 300).values
         gap = np.abs(curve - steady)
         assert np.all(np.diff(gap[50:]) <= 1e-12 * steady)
 
@@ -173,7 +175,7 @@ class TestLmsSteadyState:
     def test_exact_matches_lyapunov_trace(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         p_inf = solve_lms_lyapunov(band, sampling, c_w, 0.5)
-        assert_allclose(lms_steady_state(band, sampling, c_w, 0.5, "exact"),
+        assert_allclose(lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact"),
                         np.trace(p_inf), rtol=1e-12)
 
     def test_lyapunov_residual(self, setup10):
@@ -195,14 +197,14 @@ class TestLmsSteadyState:
 
     def test_exact_matches_curve_tail(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(band, sampling, c_w, 0.5, "exact")
-        curve = lms_theory_exact(band, sampling, s_f, c_w, 0.5, 4000).values
+        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact")
+        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
     def test_paper_mode_matches_curve_tail(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(band, sampling, c_w, 0.5, "paper")
-        curve = lms_theory_paper(band, sampling, s_f, c_w, 0.5, 4000).values
+        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "paper")
+        curve = lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
     def test_paper_mode_equals_weighted_trace(self, setup10):
@@ -213,7 +215,7 @@ class TestLmsSteadyState:
         d_s = np.diag(sampling.indicator())
         mid = band.u_f.T @ d_s @ np.diag(c_w) @ d_s @ band.u_f
         want = float(np.trace(gram_inv @ mid @ gram_inv))
-        got = lms_steady_state(band, sampling, c_w, 0.5, "paper")
+        got = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "paper")
         assert_allclose(got, want, rtol=1e-10)
 
     def test_flat_spectrum_closed_form(self):
@@ -224,31 +226,32 @@ class TestLmsSteadyState:
         band = BandBasis(f=2, u_f=q)
         sampling = SamplingSet(indices=tuple(range(6)), n=6)
         sigma_sq, mu = 0.3, 0.7
-        got = lms_steady_state(band, sampling, np.full(6, sigma_sq), mu, "exact")
+        got = lms_steady_state(SampledOperator(band, sampling, np.full(6, sigma_sq)), mu, "exact")
         assert_allclose(got, 2 * mu * sigma_sq / (2 - mu), rtol=1e-12)
 
     def test_zero_noise_limit_is_zero(self, setup10):
         band, sampling, _, _ = model_parts(setup10)
-        assert lms_steady_state(band, sampling, np.zeros(band.n), 0.5, "exact") == 0.0
-        assert lms_steady_state(band, sampling, np.zeros(band.n), 0.5, "paper") == 0.0
+        quiet = SampledOperator(band, sampling, np.zeros(band.n))
+        assert lms_steady_state(quiet, 0.5, "exact") == 0.0
+        assert lms_steady_state(quiet, 0.5, "paper") == 0.0
 
     def test_mode_validation(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            lms_steady_state(band, sampling, c_w, 0.5, "average")
+            lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "average")
 
     def test_unstable_step_rejected(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         _, mu_max = stable_step_range(band, sampling)
         with pytest.raises(ValueError):
-            lms_steady_state(band, sampling, c_w, 1.01 * mu_max, "exact")
+            lms_steady_state(SampledOperator(band, sampling, c_w), 1.01 * mu_max, "exact")
 
 
 class TestRlsCurves:
     def test_paper_matches_matrix_evaluation(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for lam in (0.55, 0.7, 0.9):
-            fast = rls_theory_paper(band, sampling, s_f, c_w, lam, 60).values
+            fast = rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, lam, 60).values
             slow = naive_rls_paper(band, sampling, s_f, c_w, lam, 60)
             assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -265,37 +268,37 @@ class TestRlsCurves:
     def test_exact_matches_recursion(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for lam in (0.55, 0.7, 0.9):
-            fast = rls_theory_exact(band, sampling, s_f, c_w, lam, 120).values
+            fast = rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, lam, 120).values
             slow = naive_rls_exact(band, sampling, s_f, c_w, lam, 120)
             assert_allclose(fast, slow, rtol=1e-11)
 
     def test_lambda_one_is_constant(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         energy = float(s_f @ s_f)
-        assert_allclose(rls_theory_paper(band, sampling, s_f, c_w, 1.0, 30).values,
+        assert_allclose(rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, 1.0, 30).values,
                         energy, rtol=1e-12)
-        assert_allclose(rls_theory_exact(band, sampling, s_f, c_w, 1.0, 30).values,
+        assert_allclose(rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.0, 30).values,
                         energy, rtol=1e-12)
 
     def test_rejects_zero_variance(self, setup10):
         band, sampling, s_f, _ = model_parts(setup10)
         with pytest.raises(ValueError):
-            rls_theory_paper(band, sampling, s_f, np.zeros(band.n), 0.7, 10)
+            rls_theory_paper(SampledOperator(band, sampling, np.zeros(band.n)), s_f, 0.7, 10)
         with pytest.raises(ValueError):
-            rls_theory_exact(band, sampling, s_f, np.zeros(band.n), 0.7, 10)
+            rls_theory_exact(SampledOperator(band, sampling, np.zeros(band.n)), s_f, 0.7, 10)
 
     def test_rejects_bad_lambda(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            rls_theory_exact(band, sampling, s_f, c_w, 0.0, 10)
+            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.0, 10)
         with pytest.raises(ValueError):
-            rls_theory_exact(band, sampling, s_f, c_w, 1.5, 10)
+            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.5, 10)
 
 
 class TestRlsSteadyState:
     def test_paper_mode_is_lambda_invariant(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        vals = [rls_steady_state(band, sampling, c_w, lam, "paper")
+        vals = [rls_steady_state(SampledOperator(band, sampling, c_w), lam, "paper")
                 for lam in (0.3, 0.6, 0.9)]
         assert vals[0] == vals[1] == vals[2]
         m_mat = rls_gain_matrix(band, sampling, c_w)
@@ -306,17 +309,17 @@ class TestRlsSteadyState:
         m_mat = rls_gain_matrix(band, sampling, c_w)
         for lam in (0.55, 0.85):
             want = (1 - lam) / (1 + lam) * float(np.trace(m_mat))
-            assert_allclose(rls_steady_state(band, sampling, c_w, lam, "exact"),
+            assert_allclose(rls_steady_state(SampledOperator(band, sampling, c_w), lam, "exact"),
                             want, rtol=1e-12)
 
     def test_exact_mode_matches_recursion_fixed_point(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         lam = 0.7
         tail = naive_rls_exact(band, sampling, s_f, c_w, lam, 400)[-1]
-        assert_allclose(rls_steady_state(band, sampling, c_w, lam, "exact"),
+        assert_allclose(rls_steady_state(SampledOperator(band, sampling, c_w), lam, "exact"),
                         tail, rtol=1e-10)
 
     def test_lambda_one_rejected(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            rls_steady_state(band, sampling, c_w, 1.0, "exact")
+            rls_steady_state(SampledOperator(band, sampling, c_w), 1.0, "exact")
