@@ -5,7 +5,8 @@ eigendecomposition), run (Monte Carlo plus theory curves to CSV with a
 manifest), theory (theory curves only), compare (tail deviation report for
 a results CSV).
 
-Exit codes: 0 success, 2 configuration or usage error, 3 input data error.
+Exit codes: 0 success, 2 configuration or usage error (an unwritable or
+unreadable path included), 3 input data error or missing file.
 """
 
 import argparse
@@ -176,6 +177,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

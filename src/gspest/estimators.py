@@ -178,20 +178,21 @@ def _msd_recursion(model: SignalModel, decay: np.ndarray, gain: np.ndarray,
     """Squared norm of the error delta <- decay * delta + w_S @ gain per step.
 
     w_S is the step's noise on the sampled nodes; with frozen noise one draw
-    serves every step. Drawing the whole run's noise as one block consumes
-    the generator exactly like per-step draws, so stepwise and batched runs
-    see identical noise. delta must be in orthonormal coordinates, so that
-    its squared norm is the MSD.
+    serves every step, so its product with the gain is taken once. Drawing
+    the whole run's noise as one block consumes the generator exactly like
+    per-step draws, so stepwise and batched runs see identical noise. delta
+    must be in orthonormal coordinates, so that its squared norm is the MSD.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
     sqrt_cw = np.sqrt(model.noise.c_w)
+    sel = list(model.sampling.indices)
     if frozen_noise:
         w = sqrt_cw * rng.standard_normal(model.n)
-        noise = np.broadcast_to(w, (n_iter - 1, model.n))
+        inject = np.broadcast_to(w[sel] @ gain, (n_iter - 1, model.f))
     else:
         noise = rng.standard_normal((n_iter - 1, model.n)) * sqrt_cw[None, :]
-    inject = noise[:, list(model.sampling.indices)] @ gain
+        inject = noise[:, sel] @ gain
     vals = np.empty(n_iter)
     vals[0] = delta @ delta
     for t in range(1, n_iter):

@@ -12,6 +12,7 @@ key (2,), and run r the child key (3, r) of the master seed.
 
 import hashlib
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -316,11 +317,14 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     result is bit-identical for a given config; runs are reduced in
     ascending index order.
     """
+    started = time.perf_counter()
     exp = prepare_experiment(config, stations, basis)
+    prepared = time.perf_counter()
     model, cfg = exp.model, exp.config
     t_count, n_runs = cfg.iterations, cfg.runs
     frozen = cfg.noise_protocol == "frozen"
     theory_paper, theory_exact = theory_curves(exp)
+    predicted = time.perf_counter()
     trajectory = lms_msd_trajectory if cfg.algorithm == "lms" else rls_msd_trajectory
     per_run = np.empty((n_runs, t_count))
     for r in range(n_runs):
@@ -331,6 +335,7 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
     else:
         msd_se = np.zeros(t_count)
+    simulated = time.perf_counter()
     metadata = {
         "scenario": cfg.scenario if isinstance(cfg.scenario, str) else list(cfg.scenario_pair()),
         "scenario_coefficients": list(cfg.scenario_pair()),
@@ -340,6 +345,8 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         "n_edges": exp.n_edges,
         "signal_energy": float(model.s_f @ model.s_f),
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
+        "stages": {"prepare": prepared - started, "theory": predicted - prepared,
+                   "simulate": simulated - predicted},  # wall seconds
     }
     if cfg.algorithm == "lms":
         mu_max = model.operator.mu_max

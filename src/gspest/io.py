@@ -220,6 +220,7 @@ def build_manifest(result: RunResult, stations: StationTable, duration_seconds: 
         "sampling_indices": list(result.metadata.get("sampling_indices", [])),
         "lambda_min": result.metadata.get("lambda_min"),
         "duration_seconds": float(duration_seconds),
+        "stages": dict(result.metadata.get("stages", {})),
     }
 
 

@@ -16,6 +16,7 @@ from .graph import BandBasis
 RECOVERABILITY_TOL = 1e-8
 
 _BISECT_ITERS = 80
+_PRUNE_EVERY = 4  # halvings between pruning passes of the greedy scorer
 
 
 @dataclass(frozen=True)
@@ -146,35 +147,70 @@ def stable_step_range(band: BandBasis, sampling: SamplingSet) -> tuple[float, fl
     return 0.0, op.mu_max
 
 
-def _arrowhead_min_eig(d: np.ndarray, beta: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _bisect(lo: np.ndarray, hi: np.ndarray, root_above, data: tuple,
+            live: np.ndarray | None = None) -> np.ndarray:
+    """Bisect the root brackets [lo, hi] of many columns at once.
+
+    root_above(theta, *data) tells, per column, whether the root lies above
+    theta; data holds per-column arrays (columns on the last axis). Without
+    a live mask every column takes _BISECT_ITERS halvings and the midpoints
+    are returned.
+
+    With a boolean live mask only the largest root matters: columns outside
+    the mask score -inf, and every _PRUNE_EVERY halvings a live column whose
+    hi lies below the largest lo among live columns is dropped, scoring
+    -inf as well. Its root is at most that hi and the best root at least
+    that lo, so it cannot be the largest; exact ties are never dropped. The
+    loop ends early once one column is left. A column that stays live takes
+    the same halvings as without the mask, so argmax of the result, lowest
+    index among ties, is argmax of the unpruned roots.
+    """
+    out = np.full(lo.shape[0], -np.inf)
+    cols = np.arange(lo.shape[0]) if live is None else np.flatnonzero(live)
+    lo, hi, data = lo[cols], hi[cols], tuple(a[..., cols] for a in data)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_BISECT_ITERS):
+            if live is not None and it % _PRUNE_EVERY == 0:
+                keep = hi >= lo.max()
+                if not keep.all():
+                    cols, lo, hi = cols[keep], lo[keep], hi[keep]
+                    data = tuple(a[..., keep] for a in data)
+                if cols.shape[0] == 1:
+                    break
+            theta = 0.5 * (lo + hi)
+            above = root_above(theta, *data)
+            lo = np.where(above, theta, lo)
+            hi = np.where(above, hi, theta)
+    out[cols] = 0.5 * (lo + hi)
+    return out
+
+
+def _arrowhead_min_eig(d: np.ndarray, beta: np.ndarray, delta: np.ndarray,
+                       live: np.ndarray | None = None) -> np.ndarray:
     """Smallest eigenvalue of [[W, b], [b^T, delta]] for many borders at once.
 
     d is the ascending spectrum of W; beta holds each border vector rotated
     into W's eigenbasis, one candidate per column. The smallest eigenvalue is
     the unique root of the secular function below d[0] (Cauchy interlacing),
     bracketed by a Gershgorin bound and found by bisection. The function is
-    strictly decreasing there, so the bisection is safe.
+    strictly decreasing there, so the bisection is safe. A live mask prunes
+    as in _bisect.
     """
-    k = beta.shape[1]
-    beta_sq = beta * beta
     # Gershgorin lower bound in the rotated coordinates
     abs_beta = np.abs(beta)
     lo_rows = np.min(d[:, None] - abs_beta, axis=0)
     lo_corner = delta - abs_beta.sum(axis=0)
     lo = np.minimum(lo_rows, lo_corner) - 1e-12
-    hi = np.full(k, d[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BISECT_ITERS):
-            theta = 0.5 * (lo + hi)
-            gap = d[:, None] - theta[None, :]
-            fval = delta - theta - np.sum(beta_sq / gap, axis=0)
-            above = fval > 0  # root is above theta
-            lo = np.where(above, theta, lo)
-            hi = np.where(above, hi, theta)
-    return 0.5 * (lo + hi)
+    hi = np.full(beta.shape[1], d[0])
+
+    def root_above(theta, beta_sq, delta):
+        return delta - theta - np.sum(beta_sq / (d[:, None] - theta[None, :]), axis=0) > 0
+
+    return _bisect(lo, hi, root_above, (beta * beta, delta), live)
 
 
-def _rank_one_min_eig(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _rank_one_min_eig(lam: np.ndarray, z: np.ndarray,
+                      live: np.ndarray | None = None) -> np.ndarray:
     """Smallest eigenvalue of G + u u^T for many update vectors at once.
 
     lam is the ascending spectrum of G, z the updates rotated into G's
@@ -182,7 +218,8 @@ def _rank_one_min_eig(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     eigenvalue sits in [lam[0], lam[1]]; on that interval the secular
     function is strictly increasing, so bisection converges to it. A zero
     first component (or a repeated lowest eigenvalue) collapses the bracket
-    onto lam[0], which is then exactly right.
+    onto lam[0], which is then exactly right. A live mask prunes as in
+    _bisect.
     """
     k = z.shape[1]
     z_sq = z * z
@@ -191,15 +228,11 @@ def _rank_one_min_eig(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         hi = np.full(k, lam[1])
     else:
         hi = lam[0] + z_sq.sum(axis=0)  # 1x1 case: exact eigenvalue
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BISECT_ITERS):
-            theta = 0.5 * (lo + hi)
-            gap = lam[:, None] - theta[None, :]
-            fval = 1.0 + np.sum(z_sq / gap, axis=0)
-            below = fval < 0  # root is above theta
-            lo = np.where(below, theta, lo)
-            hi = np.where(below, hi, theta)
-    return 0.5 * (lo + hi)
+
+    def root_above(theta, z_sq):
+        return 1.0 + np.sum(z_sq / (lam[:, None] - theta[None, :]), axis=0) < 0
+
+    return _bisect(lo, hi, root_above, (z_sq,), live)
 
 
 def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
@@ -210,7 +243,9 @@ def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
     While fewer than f nodes are selected that eigenvalue is zero for every
     candidate, so the selection maximizes the smallest eigenvalue restricted
     to the span of the chosen rows (the compact Gram of the selected rows),
-    which is the same criterion once the set reaches full rank.
+    which is the same criterion once the set reaches full rank. Candidates
+    that provably cannot win a step stop being bisected (see _bisect); the
+    chosen nodes are those of scoring every candidate fully.
 
     Deterministic. Requires f <= m <= n.
     """
@@ -220,28 +255,30 @@ def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
     u = band.u_f
     row_sq = np.einsum("ij,ij->i", u, u)
     selected: list[int] = []
-    cross = np.empty((0, n))  # cross[a, j] = <row selected[a], row j>
+    live = np.ones(n, dtype=bool)
+    cross = np.empty((f, n))  # cross[a, j] = <row selected[a], row j>
     full_gram: np.ndarray | None = None
     for _ in range(m):
         s = len(selected)
         if s == 0:
-            scores = row_sq.copy()
+            scores = row_sq
         elif s < f:
-            compact = cross[:, selected]
+            compact = cross[:s, selected]
             compact = (compact + compact.T) / 2
             d, q = np.linalg.eigh(compact)
-            scores = _arrowhead_min_eig(d, q.T @ cross, row_sq)
+            scores = _arrowhead_min_eig(d, q.T @ cross[:s], row_sq, live)
         else:
             if full_gram is None:
                 rows = u[selected, :]
                 full_gram = rows.T @ rows
                 full_gram = (full_gram + full_gram.T) / 2
             lam, q = np.linalg.eigh(full_gram)
-            scores = _rank_one_min_eig(lam, q.T @ u.T)
-        scores[selected] = -np.inf
+            scores = _rank_one_min_eig(lam, q.T @ u.T, live)
         j = int(np.argmax(scores))
         selected.append(j)
-        cross = np.vstack([cross, (u @ u[j])[None, :]])
+        live[j] = False
+        if s + 1 < f:  # the next compact Gram needs this row
+            cross[s] = u @ u[j]
         if full_gram is not None:
             full_gram = full_gram + np.outer(u[j], u[j])
     return SamplingSet(indices=tuple(sorted(selected)), n=n)

@@ -4,7 +4,10 @@ CSV writers use shortest round-trip float formatting, so most checks here
 can compare byte-for-byte instead of within tolerance.
 """
 
+import errno
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -317,6 +320,8 @@ class TestCliRun:
         assert out.exists()
         manifest = gio.read_manifest(str(out) + ".manifest.json")
         assert manifest["config"]["iterations"] == 20
+        assert sorted(manifest["stages"]) == ["prepare", "simulate", "theory"]
+        assert all(math.isfinite(v) and v >= 0 for v in manifest["stages"].values())
         stdout = capsys.readouterr().out
         assert "tail mean |emp - theory|" in stdout
 
@@ -441,6 +446,21 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "error: no recoverable sampling set found in 100 attempts"]
+
+    def test_run_out_directory_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, iterations=5, runs=1)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["run", config_path, "--out", str(out),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {os.strerror(errno.EISDIR)}: {out}"]
+
+    def test_compare_directory_exits_2(self, tmp_path, capsys):
+        assert main(["compare", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {os.strerror(errno.EISDIR)}: {tmp_path}"]
 
     def test_malformed_results_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "res.csv"

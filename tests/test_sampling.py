@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gspest import (
+    BandBasis,
     SamplingSet,
     apply_sampling,
+    band_select,
+    build_knn_graph,
     check_recoverability,
+    gft_basis,
     greedy_max_lambda_min,
+    laplacian,
     random_sampling,
     sampled_gram,
     stable_step_range,
+    synthetic_stations,
 )
 from gspest.sampling import _arrowhead_min_eig, _rank_one_min_eig
 
@@ -23,9 +29,57 @@ def random_orthonormal(n, f, seed):
     q, _ = np.linalg.qr(rng.standard_normal((n, f)))
     # normalize the sign so the fixture is stable across BLAS builds
     q *= np.sign(q[0, :] + (q[0, :] == 0))
-    from gspest import BandBasis
-
     return BandBasis(f=f, u_f=q)
+
+
+def duplicated_rows_basis(n_distinct, f, n_dup, seed):
+    """Orthonormal basis whose first n_dup rows each appear twice in a row.
+
+    Each duplicated row is scaled by 1/sqrt(2), so the columns stay
+    orthonormal and the two copies are bit-identical: candidates that tie
+    exactly.
+    """
+    q = random_orthonormal(n_distinct, f, seed).u_f
+    rows = []
+    for i in range(n_distinct):
+        if i < n_dup:
+            half = q[i] / np.sqrt(2.0)
+            rows += [half, half.copy()]
+        else:
+            rows.append(q[i])
+    return BandBasis(f=f, u_f=np.array(rows))
+
+
+def unpruned_greedy(band, m):
+    """The greedy selection scoring every candidate with full bisections."""
+    u = band.u_f
+    n, f = u.shape
+    row_sq = np.einsum("ij,ij->i", u, u)
+    selected = []
+    cross = np.empty((0, n))
+    full_gram = None
+    for _ in range(m):
+        s = len(selected)
+        if s == 0:
+            scores = row_sq.copy()
+        elif s < f:
+            compact = cross[:, selected]
+            d, q = np.linalg.eigh((compact + compact.T) / 2)
+            scores = _arrowhead_min_eig(d, q.T @ cross, row_sq)
+        else:
+            if full_gram is None:
+                rows = u[selected, :]
+                gram = rows.T @ rows
+                full_gram = (gram + gram.T) / 2
+            lam, q = np.linalg.eigh(full_gram)
+            scores = _rank_one_min_eig(lam, q.T @ u.T)
+        scores[selected] = -np.inf
+        j = int(np.argmax(scores))
+        selected.append(j)
+        cross = np.vstack([cross, u @ u[j]])
+        if full_gram is not None:
+            full_gram = full_gram + np.outer(u[j], u[j])
+    return tuple(sorted(selected))
 
 
 class TestSamplingSet:
@@ -222,6 +276,52 @@ class TestGreedySelection:
         )
         assert lam_greedy >= best_with_first - 1e-12
         assert lam_greedy <= best + 1e-12
+
+
+class TestSameSamplingSet:
+    """Pruning the greedy scorer must not change which nodes it picks."""
+
+    # sha256 of ",".join(indices), recorded with every candidate bisected in full
+    GOLDEN = {
+        (8, 200, 210): "239e76b89e9478b9a6f2ac58793769b11c8cd9b4e7a1b0f296a6370c7898e109",
+        (16, 160, 210): "dfcdf79ff9d7f6abd06e43e5215980f9aee74d4ab8bbbc3dcf2797de9d2320d1",
+    }
+
+    def test_reference_grid_cases(self):
+        import hashlib
+
+        stations = synthetic_stations(299, 2018)
+        for (k, f, m), want in self.GOLDEN.items():
+            band = band_select(gft_basis(laplacian(build_knn_graph(stations, k))), f)
+            got = greedy_max_lambda_min(band, m).indices
+            assert hashlib.sha256(",".join(map(str, got)).encode()).hexdigest() == want
+
+    def test_exact_ties_pick_the_lower_index(self):
+        band = duplicated_rows_basis(6, 3, 6, seed=1)  # every row appears twice
+        got = greedy_max_lambda_min(band, 3).indices
+        assert got == unpruned_greedy(band, 3)
+        assert all(i % 2 == 0 for i in got)  # first copy of each duplicated row
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_unpruned_selection(self, data):
+        kind = data.draw(st.sampled_from(["random", "duplicated", "knn"]))
+        seed = data.draw(st.integers(min_value=0, max_value=10_000))
+        if kind == "knn":
+            n = data.draw(st.integers(min_value=6, max_value=40))
+            k = data.draw(st.integers(min_value=2, max_value=5))
+            basis = gft_basis(laplacian(build_knn_graph(synthetic_stations(n, seed), k)))
+            band = band_select(basis, data.draw(st.integers(min_value=1, max_value=n)))
+        elif kind == "duplicated":
+            n_distinct = data.draw(st.integers(min_value=2, max_value=20))
+            f = data.draw(st.integers(min_value=1, max_value=n_distinct))
+            n_dup = data.draw(st.integers(min_value=1, max_value=n_distinct))
+            band = duplicated_rows_basis(n_distinct, f, n_dup, seed)
+        else:
+            n = data.draw(st.integers(min_value=1, max_value=40))
+            band = random_orthonormal(n, data.draw(st.integers(min_value=1, max_value=n)), seed)
+        m = data.draw(st.integers(min_value=band.f, max_value=band.n))
+        assert greedy_max_lambda_min(band, m).indices == unpruned_greedy(band, m)
 
 
 class TestRandomSampling:
