@@ -11,6 +11,7 @@ unreadable path included), 3 input data error or missing file.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -55,6 +56,21 @@ def _apply_overrides(config, args):
     return config.with_overrides(**overrides) if overrides else config
 
 
+def _inputs(args, *out_paths):
+    """Config (with overrides), station table and graph basis of a run or
+    theory command. Each output path is opened for appending first, so one
+    that cannot be written fails before anything is computed."""
+    config = _apply_overrides(gio.load_config(args.config), args)
+    for path in out_paths:
+        existed = os.path.lexists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+    stations = _resolve_stations(config, args.stations)
+    return config, stations, _cached_basis(args.cache_dir, stations, config.k)
+
+
 def cmd_build_graph(args) -> int:
     stations = gio.read_station_csv(args.stations_csv)
     graph = build_knn_graph(stations, args.k)
@@ -77,14 +93,12 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(gio.load_config(args.config), args)
-    stations = _resolve_stations(config, args.stations)
-    basis = _cached_basis(args.cache_dir, stations, config.k)
+    manifest_path = args.manifest or (args.out + ".manifest.json")
+    config, stations, basis = _inputs(args, args.out, manifest_path)
     started = time.monotonic()
     result = run_experiment(config, stations, basis)
     duration = time.monotonic() - started
     gio.write_results_csv(args.out, result)
-    manifest_path = args.manifest or (args.out + ".manifest.json")
     gio.write_manifest(manifest_path, gio.build_manifest(result, stations, duration))
     dev = result.deviation
     print(f"wrote {args.out} ({config.iterations} iterations, {config.runs} runs)")
@@ -95,9 +109,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config = _apply_overrides(gio.load_config(args.config), args)
-    stations = _resolve_stations(config, args.stations)
-    basis = _cached_basis(args.cache_dir, stations, config.k)
+    config, stations, basis = _inputs(args, args.out)
     paper, exact = theory_curves(prepare_experiment(config, stations, basis))
     t = np.arange(1, config.iterations + 1)
     gio.write_theory_csv(args.out, t, _to_db(paper.values), _to_db(exact.values))
@@ -115,10 +127,16 @@ def cmd_compare(args) -> int:
     emp = cols["msd_emp_db"][tail]
     report = {"burn_in_fraction": args.burn_in, "n_tail": t_count - start, "modes": {}}
     for mode, col in (("paper", "msd_theory_paper_db"), ("exact", "msd_theory_exact_db")):
-        max_abs, mean_abs = tail_deviation_db(emp, cols[col][tail])
-        report["modes"][mode] = {"max_abs_db": max_abs, "mean_abs_db": mean_abs}
+        theory = cols[col][tail]
+        max_abs, mean_abs = tail_deviation_db(emp, theory)
+        # a nan or -inf point in either curve makes the max and mean nan
+        nonfinite = {"nan": int(np.sum(np.isnan(emp) | np.isnan(theory))),
+                     "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory)))}
+        report["modes"][mode] = {"max_abs_db": max_abs, "mean_abs_db": mean_abs,
+                                 "n_nonfinite": nonfinite}
         print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
-              f"max = {max_abs:.4f} dB over {t_count - start} iterations")
+              f"max = {max_abs:.4f} dB over {t_count - start} iterations "
+              f"({nonfinite['nan']} nan, {nonfinite['-inf']} -inf points)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import BandBasis
 from .noise import NoiseModel
-from .sampling import SampledOperator, SamplingSet
+from .sampling import ErrorRecursion, SampledOperator, SamplingSet
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,15 @@ def msd_db(value):
     return float(out) if np.isscalar(value) or v.ndim == 0 else out
 
 
-def _msd_recursion(model: SignalModel, decay: np.ndarray, gain: np.ndarray,
-                   delta: np.ndarray, n_iter: int, rng: np.random.Generator,
-                   frozen_noise: bool) -> np.ndarray:
+def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
+                   rng: np.random.Generator, frozen_noise: bool) -> np.ndarray:
     """Squared norm of the error delta <- decay * delta + w_S @ gain per step.
 
     w_S is the step's noise on the sampled nodes; with frozen noise one draw
     serves every step, so its product with the gain is taken once. Drawing
     the whole run's noise as one block consumes the generator exactly like
-    per-step draws, so stepwise and batched runs see identical noise. delta
-    must be in orthonormal coordinates, so that its squared norm is the MSD.
+    per-step draws, so stepwise and batched runs see identical noise. The
+    recursion's coordinates are orthonormal, so the squared norm is the MSD.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -189,14 +188,15 @@ def _msd_recursion(model: SignalModel, decay: np.ndarray, gain: np.ndarray,
     sel = list(model.sampling.indices)
     if frozen_noise:
         w = sqrt_cw * rng.standard_normal(model.n)
-        inject = np.broadcast_to(w[sel] @ gain, (n_iter - 1, model.f))
+        inject = np.broadcast_to(w[sel] @ rec.gain, (n_iter - 1, model.f))
     else:
         noise = rng.standard_normal((n_iter - 1, model.n)) * sqrt_cw[None, :]
-        inject = noise[:, sel] @ gain
+        inject = noise[:, sel] @ rec.gain
+    delta = rec.delta0
     vals = np.empty(n_iter)
     vals[0] = delta @ delta
     for t in range(1, n_iter):
-        delta = decay * delta + inject[t - 1]
+        delta = rec.decay * delta + inject[t - 1]
         vals[t] = delta @ delta
     return vals
 
@@ -206,25 +206,16 @@ def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
     """MSD curve of one LMS run, computed in the sampled Gram eigenbasis.
 
     Entry 0 is the error of the zero initial estimate at t = 1; each later
-    entry follows one update with a fresh noise draw. Each mode i decays by
-    1 - mu * lam_i, so the recursion is elementwise. Algebraically identical
-    to iterating lms_step and recording msd.
+    entry follows one update with a fresh noise draw. Algebraically
+    identical to iterating lms_step and recording msd.
     """
-    op = model.operator
-    return _msd_recursion(model, 1.0 - mu * op.lam, mu * (op.rows @ op.v),
-                          -(op.v.T @ model.s_f), n_iter, rng, frozen_noise)
+    return _msd_recursion(model, model.operator.recursion("lms", mu, model.s_f), n_iter,
+                          rng, frozen_noise)
 
 
 def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
                        rng: np.random.Generator, frozen_noise: bool = False) -> np.ndarray:
-    """MSD curve of one RLS run, computed in band coordinates.
-
-    Same conventions as the LMS trajectory, but every coordinate decays by
-    lam; algebraically identical to iterating rls_step and recording msd.
-    """
-    if not 0 < lam <= 1:
-        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    op = model.operator
-    gain = (1.0 - lam) * ((op.rows / op.c_s[:, None]) @ op.gain)
-    return _msd_recursion(model, np.full(model.f, lam), gain, -model.s_f,
-                          n_iter, rng, frozen_noise)
+    """MSD curve of one RLS run, computed in band coordinates; same
+    conventions as the LMS trajectory, identical to iterating rls_step."""
+    return _msd_recursion(model, model.operator.recursion("rls", lam, model.s_f), n_iter,
+                          rng, frozen_noise)

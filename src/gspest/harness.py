@@ -22,8 +22,8 @@ from .estimators import SignalModel, lms_msd_trajectory, rls_msd_trajectory
 from .graph import (BandBasis, StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
 from .noise import build_cw, noiseless, scenario_coefficients
-from .sampling import SamplingSet, greedy_max_lambda_min, random_sampling
-from .theory import (TheoryCurve, lms_theory_exact, lms_theory_paper,
+from .sampling import ErrorRecursion, SamplingSet, greedy_max_lambda_min, random_sampling
+from .theory import (TheoryCurve, limits, lms_theory_exact, lms_theory_paper,
                      rls_theory_exact, rls_theory_paper)
 
 _COV_KEY = 1
@@ -309,6 +309,17 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     )
 
 
+def _limit_diagnostics(rec: ErrorRecursion) -> dict:
+    """Spectral radius, both modes' steady states and their gap in dB; the
+    last two are None without convergence, the gap also without noise."""
+    radius = float(np.max(np.abs(rec.decay)))
+    steady = limits(rec) if radius < 1.0 else None
+    gap = None
+    if steady is not None and steady["paper"] > 0 and steady["exact"] > 0:
+        gap = 10.0 * math.log10(steady["paper"] / steady["exact"])
+    return {"spectral_radius": radius, "steady_state": steady, "predicted_gap_db": gap}
+
+
 def run_experiment(config: ExperimentConfig, stations: StationTable | None = None,
                    basis=None) -> RunResult:
     """Run the full pipeline: prepare, simulate R runs, average, compare.
@@ -348,6 +359,8 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
     }
+    metadata.update(_limit_diagnostics(model.operator.recursion(cfg.algorithm, cfg.param,
+                                                                model.s_f)))
     if cfg.algorithm == "lms":
         mu_max = model.operator.mu_max
         metadata["mu_max"] = mu_max

@@ -111,10 +111,6 @@ def station_digest(stations: StationTable) -> str:
     return h.hexdigest()
 
 
-def array_digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(np.asarray(values, dtype=float)).tobytes()).hexdigest()
-
-
 def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
     """Build a validated ExperimentConfig from a flat JSON object.
 
@@ -210,7 +206,9 @@ def read_results_csv(path) -> dict[str, np.ndarray]:
 
 
 def build_manifest(result: RunResult, stations: StationTable, duration_seconds: float) -> dict:
-    """Reproduction record for one run: effective config plus provenance."""
+    """Reproduction record for one run: effective config, provenance, and the
+    numbers that decide whether the run can be trusted (stability, spectral
+    radius, steady states and the predicted literal - exact gap)."""
     return {
         "format": "gspest-run-manifest/1",
         "package_version": __version__,
@@ -219,6 +217,11 @@ def build_manifest(result: RunResult, stations: StationTable, duration_seconds: 
         "covariance_digest": result.metadata.get("cw_digest"),
         "sampling_indices": list(result.metadata.get("sampling_indices", [])),
         "lambda_min": result.metadata.get("lambda_min"),
+        "mu_max": result.metadata.get("mu_max"),
+        "stable": result.metadata.get("stable"),
+        "spectral_radius": result.metadata.get("spectral_radius"),
+        "steady_state": result.metadata.get("steady_state"),
+        "predicted_gap_db": result.metadata.get("predicted_gap_db"),
         "duration_seconds": float(duration_seconds),
         "stages": dict(result.metadata.get("stages", {})),
     }

@@ -71,12 +71,32 @@ def sampled_gram(band: BandBasis, sampling: SamplingSet) -> np.ndarray:
     return (gram + gram.T) / 2
 
 
+@dataclass(frozen=True)
+class ErrorRecursion:
+    """Error recursion delta <- decay * delta + w_S @ gain of one estimator.
+
+    w_S is the step's noise on the sampled nodes (variances c_s) and delta0
+    the error of the zero initial estimate. The f coordinates are
+    orthonormal, so |delta|^2 is the MSD.
+    """
+
+    decay: np.ndarray
+    step: float
+    response: np.ndarray  # (m, f)
+    delta0: np.ndarray
+    c_s: np.ndarray
+
+    @property
+    def gain(self) -> np.ndarray:
+        return self.step * self.response
+
+
 class SampledOperator:
     """The sampled Gram matrix U_S^T U_S of one experiment, decomposed once.
 
-    The error recursion of both estimators is diagonal in its eigenbasis V:
-    LMS scales mode i by 1 - mu * lam_i per step, RLS every mode by its
-    forgetting factor. c_w is the noise covariance diagonal over all nodes.
+    c_w is the noise covariance diagonal over all nodes. recursion() hands
+    out each estimator's error recursion, which is diagonal: LMS in the Gram
+    eigenbasis V, RLS in band coordinates.
     """
 
     def __init__(self, band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
@@ -98,17 +118,6 @@ class SampledOperator:
             raise ValueError(f"sampling set not recoverable (lambda_min={self.lam_min:.3e})")
 
     @cached_property
-    def noise_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode noise terms (z, y) of the LMS theory; needs a recoverable set.
-
-        z is the noise energy each Gram mode receives per step, y the per-mode
-        sum of noise standard deviations in the literal expression's cross term.
-        """
-        self.require_recoverable()
-        zmat = ((self.rows * np.sqrt(self.c_s)[:, None]) @ self.v).T  # (f, m)
-        return np.einsum("ij,ij->i", zmat, zmat), zmat.sum(axis=1)
-
-    @cached_property
     def gain(self) -> np.ndarray:
         """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve.
 
@@ -123,6 +132,30 @@ class SampledOperator:
         m_inv = (m_inv + m_inv.T) / 2
         m_mat = np.linalg.solve(m_inv, np.eye(self.band.f))
         return (m_mat + m_mat.T) / 2
+
+    def recursion(self, algorithm: str, param: float, s_f: np.ndarray) -> ErrorRecursion:
+        """Error recursion of LMS (param = mu) or RLS (param = lam) from s_hat = 0.
+
+        LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
+        RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
+        Needs a recoverable set; mu is unrestricted, 0 < lam <= 1.
+        """
+        s_f = np.asarray(s_f, dtype=float)
+        if s_f.shape != (self.band.f,):
+            raise ValueError(f"s_f shape {s_f.shape} != ({self.band.f},)")
+        self.require_recoverable()
+        if algorithm == "lms":
+            return ErrorRecursion(decay=1.0 - param * self.lam, step=param,
+                                  response=self.rows @ self.v, delta0=-(self.v.T @ s_f),
+                                  c_s=self.c_s)
+        if algorithm == "rls":
+            if not 0 < param <= 1:
+                raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {param}")
+            m_mat = self.gain  # checks the variances before they divide
+            return ErrorRecursion(decay=np.full(self.band.f, param), step=1.0 - param,
+                                  response=(self.rows / self.c_s[:, None]) @ m_mat,
+                                  delta0=-s_f, c_s=self.c_s)
+        raise ValueError(f"algorithm must be 'lms' or 'rls', got {algorithm!r}")
 
 
 def check_recoverability(band: BandBasis, sampling: SamplingSet) -> tuple[bool, float]:

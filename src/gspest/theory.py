@@ -1,31 +1,33 @@
 """Closed-form transient MSD curves for the LMS and RLS estimators.
 
-Two modes are produced for each estimator:
+Both estimators unroll one error recursion, delta <- d * delta + w_S @ G
+with d diagonal and G = step * R (SampledOperator.recursion). With
+q = diag(R^T C_S R), p = R^T sqrt(c_S) and the partial sums
+S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
 
-* ``paper``: the literal closed-form expression obtained by unrolling the
-  error recursion with the noise vector held fixed across iterations and
-  then substituting the elementwise square root of the covariance diagonal
-  for it. Its decaying term is exact; its noise terms describe a
-  frozen-noise run, so at steady state it reports the expected squared bias
-  under a single reused draw.
-* ``exact``: the exact expectation of the squared error when the noise is
-  redrawn independently every iteration, propagated through the error
-  covariance recursion. This is the mode Monte Carlo runs converge to.
+* ``paper``: the literal closed form obtained by unrolling the recursion
+  with the noise vector held fixed and then substituting sqrt(c_S) for it,
+  delta0^2 d^2t + 2 delta0 d^t (step S_t) p + q (step S_t)^2. Its decaying
+  term is exact; its noise terms describe a frozen-noise run, so at steady
+  state it reports the expected squared bias under a single reused draw.
+* ``exact``: the expected squared error when the noise is redrawn
+  independently every iteration, delta0^2 d^2t + step^2 q (1 - d^2t) / (1 - d^2).
+  This is the mode Monte Carlo runs converge to.
 
-Both start at t = 1 with the full signal energy (zero initial estimate) and
-are evaluated per iteration from the eigendecomposition of the sampled Gram
-matrix that a SampledOperator holds, followed by elementwise powers.
+Both start at t = 1 with the full signal energy (zero initial estimate).
+A coordinate whose geometric ratio is within 1e-13 of 1 sums to t.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import BandBasis
-from .sampling import RECOVERABILITY_TOL, SampledOperator, SamplingSet, sampled_gram
+from .sampling import (RECOVERABILITY_TOL, ErrorRecursion, SampledOperator, SamplingSet,
+                       sampled_gram)
 
 _MODES = ("paper", "exact")
-_ALGORITHMS = ("lms", "rls")
+_PARAM_NAMES = {"lms": "mu", "rls": "lam"}
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,10 @@ class TheoryCurve:
     mode: str
     values: np.ndarray
     params: dict
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
+        if self.algorithm not in _PARAM_NAMES:
+            raise ValueError(f"algorithm must be one of {tuple(_PARAM_NAMES)}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         values = np.asarray(self.values, dtype=float)
@@ -50,80 +51,92 @@ class TheoryCurve:
             raise ValueError("values must be a non-empty vector")
 
 
-def _check_t_max(t_max: int) -> int:
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+
+
+def _geometric(base: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers base^t (cumulative products, sign-safe) and partial sums
+    (1 - base^t) / (1 - base) per row, for t = 0..count-1."""
+    powers = np.ones((base.shape[0], count))
+    if count > 1:
+        powers[:, 1:] = base[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = (1.0 - powers) / (1.0 - base)[:, None]
+    flat = np.abs(1.0 - base) < 1e-13
+    if np.any(flat):
+        sums[flat, :] = np.arange(count, dtype=float)
+    return powers, sums
+
+
+def _noise_energy(rec: ErrorRecursion) -> np.ndarray:
+    """q = diag(R^T C_S R), the noise energy per coordinate and unit step^2."""
+    return rec.c_s @ (rec.response * rec.response)
+
+
+def _transient(rec: ErrorRecursion, mode: str, t_max: int) -> np.ndarray:
+    q = _noise_energy(rec)
+    if mode == "exact":
+        decay_sq = rec.decay * rec.decay
+        powers, sums = _geometric(decay_sq, t_max)
+        return (rec.delta0**2) @ powers + (rec.step**2) * (q @ sums)
+    powers, sums = _geometric(rec.decay, t_max)
+    ramp = rec.step * sums  # frozen-noise response after t steps, per unit noise
+    cross = rec.delta0 * (np.sqrt(rec.c_s) @ rec.response)
+    return (rec.delta0**2) @ (powers**2) + 2.0 * (cross @ (powers * ramp)) + q @ (ramp**2)
+
+
+def limits(rec: ErrorRecursion) -> dict[str, float]:
+    """Large-t limits of both modes; raises unless every |d_i| < 1.
+
+    For RLS, step / (1 - d) is exactly 1, so the literal limit is the gain
+    trace whatever the forgetting factor.
+    """
+    radius = float(np.max(np.abs(rec.decay)))
+    if radius >= 1.0:
+        raise ValueError(f"recursion is unstable (spectral radius {radius:.6f}), no steady state")
+    q = _noise_energy(rec)
+    return {"paper": float(np.sum(q * (rec.step / (1.0 - rec.decay)) ** 2)),
+            "exact": float((rec.step**2) * np.sum(q / (1.0 - rec.decay**2)))}
+
+
+def _curve(op: SampledOperator, algorithm: str, mode: str, s_f: np.ndarray,
+           param: float, t_max: int) -> TheoryCurve:
     t_max = int(t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    return t_max
-
-
-def _check_signal(op: SampledOperator, s_f: np.ndarray) -> np.ndarray:
-    s_f = np.asarray(s_f, dtype=float)
-    if s_f.shape != (op.band.f,):
-        raise ValueError(f"s_f shape {s_f.shape} != ({op.band.f},)")
-    return s_f
-
-
-def _powers(base: np.ndarray, count: int) -> np.ndarray:
-    """base[:, None] ** (0..count-1) via cumulative products (sign-safe)."""
-    out = np.ones((base.shape[0], count))
-    if count > 1:
-        out[:, 1:] = base[:, None]
-        np.cumprod(out, axis=1, out=out)
-    return out
+    rec = op.recursion(algorithm, param, s_f)
+    return TheoryCurve(algorithm=algorithm, mode=mode, values=_transient(rec, mode, t_max),
+                       params={_PARAM_NAMES[algorithm]: float(param)})
 
 
 def lms_theory_paper(op: SampledOperator, s_f: np.ndarray, mu: float,
                      t_max: int) -> TheoryCurve:
-    """Literal frozen-noise closed form for the LMS transient.
-
-    Three terms per iteration: the decaying squared bias, a cross term
-    between the bias and the substituted noise vector, and the squared
-    frozen-noise response. Requires a recoverable sampling set; mu is not
-    restricted to the stable range.
-    """
-    t_max = _check_t_max(t_max)
-    z, y = op.noise_modes
-    shat = op.v.T @ _check_signal(op, s_f)
-    a_pow = _powers(1.0 - mu * op.lam, t_max)  # (f, t)
-    ramp = (a_pow - 1.0) / op.lam[:, None]
-    term_bias = (shat**2) @ (a_pow**2)
-    term_cross = 2.0 * ((shat * y) @ (a_pow * ramp))
-    term_noise = z @ (ramp**2)
-    return TheoryCurve(
-        algorithm="lms",
-        mode="paper",
-        values=term_bias + term_cross + term_noise,
-        params={"mu": float(mu)},
-    )
+    """Literal frozen-noise closed form for the LMS transient; mu is not
+    restricted to the stable range."""
+    return _curve(op, "lms", "paper", s_f, mu, t_max)
 
 
 def lms_theory_exact(op: SampledOperator, s_f: np.ndarray, mu: float,
                      t_max: int) -> TheoryCurve:
-    """Exact expected MSD of LMS under independently redrawn noise.
+    """Exact expected MSD of LMS under independently redrawn noise: the trace
+    of the error covariance, which is diagonal in the Gram eigenbasis."""
+    return _curve(op, "lms", "exact", s_f, mu, t_max)
 
-    Equals the trace of the error covariance P(t) propagated by
-    P(t+1) = A P(t) A^T + mu^2 * (sampled, weighted Gram); the diagonal
-    decouples in the Gram eigenbasis, giving a per-mode geometric series.
-    """
-    t_max = _check_t_max(t_max)
-    z, _ = op.noise_modes
-    shat = op.v.T @ _check_signal(op, s_f)
-    decay = (1.0 - mu * op.lam) ** 2
-    d_pow = _powers(decay, t_max)  # (f, t)
-    steps = np.arange(t_max, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = (1.0 - d_pow) / (1.0 - decay)[:, None]
-    flat = np.abs(1.0 - decay) < 1e-13
-    if np.any(flat):
-        geo[flat, :] = steps[None, :]
-    values = (shat**2) @ d_pow + (mu**2) * (z @ geo)
-    return TheoryCurve(
-        algorithm="lms",
-        mode="exact",
-        values=values,
-        params={"mu": float(mu)},
-    )
+
+def rls_theory_paper(op: SampledOperator, s_f: np.ndarray, lam: float,
+                     t_max: int) -> TheoryCurve:
+    """Literal frozen-noise closed form for the RLS transient."""
+    return _curve(op, "rls", "paper", s_f, lam, t_max)
+
+
+def rls_theory_exact(op: SampledOperator, s_f: np.ndarray, lam: float,
+                     t_max: int) -> TheoryCurve:
+    """Exact expected MSD of RLS under independently redrawn noise. At
+    lam = 1 no update happens and the curve is constant."""
+    return _curve(op, "rls", "exact", s_f, lam, t_max)
 
 
 def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
@@ -157,85 +170,13 @@ def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
 
 
 def lms_steady_state(op: SampledOperator, mu: float, mode: str) -> float:
-    """Large-t limit of the LMS theory curve in the requested mode.
-
-    Both are sums over Gram modes: the exact limit of mu^2 z_i / (1 - a_i^2)
-    with a_i = 1 - mu lam_i, the literal one of z_i / lam_i^2.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    z, _ = op.noise_modes
-    decay = 1.0 - mu * op.lam
-    radius = float(np.max(np.abs(decay)))
-    if radius >= 1.0:
-        raise ValueError(f"step size {mu} is unstable (spectral radius {radius:.6f})")
-    if mode == "paper":
-        # frozen-noise limit: expected squared bias of the fixed point
-        return float(np.sum(z / op.lam**2))
-    return float((mu**2) * np.sum(z / (1.0 - decay**2)))
-
-
-def rls_theory_paper(op: SampledOperator, s_f: np.ndarray, lam: float,
-                     t_max: int) -> TheoryCurve:
-    """Literal frozen-noise closed form for the RLS transient.
-
-    The geometric bias decay, a cross term with the substituted noise
-    vector, and the frozen-noise response whose weight is the trace of the
-    gain matrix.
-    """
-    t_max = _check_t_max(t_max)
-    if not 0 < lam <= 1:
-        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    m_mat = op.gain  # validates c_w > 0, recoverability
-    s_f = _check_signal(op, s_f)
-    whitened = op.rows.T @ (1.0 / np.sqrt(op.c_s))  # (f,)
-    cross = float(s_f @ (m_mat @ whitened))
-    gain_trace = float(np.trace(m_mat))
-    lp = np.power(lam, np.arange(t_max, dtype=float))
-    values = (lp**2) * float(s_f @ s_f) + 2.0 * (lp - 1.0) * lp * cross + ((lp - 1.0) ** 2) * gain_trace
-    return TheoryCurve(
-        algorithm="rls",
-        mode="paper",
-        values=values,
-        params={"lam": float(lam)},
-    )
-
-
-def rls_theory_exact(op: SampledOperator, s_f: np.ndarray, lam: float,
-                     t_max: int) -> TheoryCurve:
-    """Exact expected MSD of RLS under independently redrawn noise.
-
-    Trace of P(t+1) = lam^2 P(t) + (1 - lam)^2 M, summed in closed form.
-    At lam = 1 no update happens and the curve is constant.
-    """
-    t_max = _check_t_max(t_max)
-    if not 0 < lam <= 1:
-        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    m_mat = op.gain
-    s_f = _check_signal(op, s_f)
-    energy = float(s_f @ s_f)
-    lp = np.power(lam, np.arange(t_max, dtype=float))
-    if lam == 1.0:
-        values = np.full(t_max, energy)
-    else:
-        noise_gain = (1.0 - lam) / (1.0 + lam) * float(np.trace(m_mat))
-        values = (lp**2) * energy + (1.0 - lp**2) * noise_gain
-    return TheoryCurve(
-        algorithm="rls",
-        mode="exact",
-        values=values,
-        params={"lam": float(lam)},
-    )
+    """Large-t limit of the LMS theory curve in the requested mode; needs a
+    stable mu."""
+    _check_mode(mode)
+    return limits(op.recursion("lms", mu, np.zeros(op.band.f)))[mode]  # start is forgotten
 
 
 def rls_steady_state(op: SampledOperator, lam: float, mode: str) -> float:
     """Large-t limit of the RLS theory curve; requires lam < 1 to converge."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    if not 0 < lam < 1:
-        raise ValueError(f"steady state needs 0 < lam < 1, got {lam}")
-    gain_trace = float(np.trace(op.gain))
-    if mode == "paper":
-        # frozen-noise limit: independent of the forgetting factor
-        return gain_trace
-    return (1.0 - lam) / (1.0 + lam) * gain_trace
+    _check_mode(mode)
+    return limits(op.recursion("rls", lam, np.zeros(op.band.f)))[mode]

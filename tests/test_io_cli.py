@@ -20,10 +20,13 @@ from gspest import (
     build_knn_graph,
     gft_basis,
     laplacian,
+    lms_steady_state,
+    prepare_experiment,
     run_experiment,
     synthetic_stations,
 )
 from gspest import io as gio
+from gspest import cli
 from gspest.cli import main
 
 from conftest import SMALL_CONFIG
@@ -241,6 +244,37 @@ class TestManifest:
         gio.write_manifest(path, manifest)
         assert gio.read_manifest(path) == manifest
 
+    def test_rls_records_predicted_gap(self):
+        lam = 0.7
+        config = small_config(algorithm="rls", param=lam, iterations=15, runs=2)
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        manifest = gio.build_manifest(run_experiment(config, stations), stations, 0.0)
+        assert manifest["spectral_radius"] == lam
+        assert set(manifest["steady_state"]) == {"paper", "exact"}
+        assert math.isclose(manifest["predicted_gap_db"], 10 * math.log10((1 + lam) / (1 - lam)),
+                            rel_tol=1e-12)
+        assert manifest["mu_max"] is None and manifest["stable"] is None
+
+    def test_lms_records_stability_and_limits(self):
+        config = small_config(iterations=15, runs=2)
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        result = run_experiment(config, stations)
+        manifest = gio.build_manifest(result, stations, 0.0)
+        op = prepare_experiment(config, stations).model.operator
+        assert manifest["mu_max"] == op.mu_max and manifest["stable"] is True
+        assert manifest["spectral_radius"] == float(np.max(np.abs(1 - config.param * op.lam)))
+        assert manifest["steady_state"] == {
+            mode: lms_steady_state(op, config.param, mode) for mode in ("paper", "exact")}
+        steady = manifest["steady_state"]
+        assert manifest["predicted_gap_db"] == 10 * math.log10(steady["paper"] / steady["exact"])
+
+        unstable = config.with_overrides(param=1.05 * op.mu_max)
+        with pytest.warns(RuntimeWarning, match="stability limit"):
+            result = run_experiment(unstable, stations)
+        manifest = gio.build_manifest(result, stations, 0.0)
+        assert manifest["stable"] is False and manifest["spectral_radius"] > 1
+        assert manifest["steady_state"] is None and manifest["predicted_gap_db"] is None
+
     def test_read_rejects_non_manifest(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"hello": 1}))
@@ -409,6 +443,23 @@ class TestCliCompare:
         assert set(report["modes"]) == {"paper", "exact"}
         assert report["modes"]["exact"]["max_abs_db"] >= report["modes"]["exact"]["mean_abs_db"]
 
+    def test_counts_nonfinite_tail_points(self, tmp_path, capsys):
+        # a negative literal value is written as nan; it still makes the
+        # paper max nan, and the report says how many points did so
+        path = tmp_path / "res.csv"
+        rows = [f"{t},-{t}.5,-{t}.0,-{t}.25" for t in range(1, 9)]
+        rows[6] = "7,-7.5,nan,-7.25"
+        path.write_text(",".join(gio.RESULTS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["compare", str(path), "--burn-in", "0.5", "--json", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["modes"]["paper"]["n_nonfinite"] == {"nan": 1, "-inf": 0}
+        assert report["modes"]["exact"]["n_nonfinite"] == {"nan": 0, "-inf": 0}
+        assert math.isnan(report["modes"]["paper"]["max_abs_db"])
+        assert report["modes"]["exact"]["max_abs_db"] == 0.25
+        stdout = capsys.readouterr().out
+        assert "(1 nan, 0 -inf points)" in stdout and "(0 nan, 0 -inf points)" in stdout
+
     def test_bad_burn_in_exits_2(self, tmp_path, capsys):
         out = self.make_results(tmp_path)
         assert main(["compare", str(out), "--burn-in", "1.5"]) == 2
@@ -456,6 +507,37 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {os.strerror(errno.EISDIR)}: {out}"]
+
+    @pytest.mark.parametrize("command, stage", [("run", "run_experiment"),
+                                                ("theory", "prepare_experiment")])
+    def test_out_path_checked_before_computing(self, tmp_path, monkeypatch, capsys,
+                                               command, stage):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, stage, fail)
+        config_path = write_config(tmp_path, iterations=5, runs=1)
+        cache = str(tmp_path / "cache")
+        directory = tmp_path / "out"
+        directory.mkdir()
+        assert main([command, config_path, "--out", str(directory), "--cache-dir", cache]) == 2
+        missing = tmp_path / "no" / "such" / "res.csv"
+        assert main([command, config_path, "--out", str(missing), "--cache-dir", cache]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {os.strerror(errno.EISDIR)}: {directory}",
+            f"file not found: {missing}"]
+
+    def test_run_manifest_path_checked_before_simulating(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_experiment ran before the manifest path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        config_path = write_config(tmp_path, iterations=5, runs=1)
+        out = tmp_path / "res.csv"
+        code = main(["run", config_path, "--out", str(out), "--cache-dir", str(tmp_path / "c"),
+                     "--manifest", str(tmp_path / "missing" / "m.json")])
+        assert code == 3
+        assert not out.exists()  # the probe of --out leaves nothing behind
 
     def test_compare_directory_exits_2(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path)]) == 2

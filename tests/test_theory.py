@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 
 from gspest import (
     BandBasis,
+    ExperimentConfig,
     SampledOperator,
     TheoryCurve,
     lms_steady_state,
     lms_theory_exact,
     lms_theory_paper,
+    prepare_experiment,
     rls_gain_matrix,
     rls_steady_state,
     rls_theory_exact,
@@ -323,3 +325,44 @@ class TestRlsSteadyState:
         band, sampling, _, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
             rls_steady_state(SampledOperator(band, sampling, c_w), 1.0, "exact")
+
+
+@pytest.fixture(scope="module")
+def case1():
+    """The 299-station case-1 experiment: k = 8, f = 200, greedy m = 210,
+    scenario (iii) noise at master seed 42."""
+    return prepare_experiment(ExperimentConfig(
+        algorithm="lms", param=0.43, k=8, bandwidth=200, sample_size=210, scenario="iii",
+        iterations=60, runs=1, master_seed=42))
+
+
+class TestFullScale:
+    # Tolerance relative to the curve maximum, not pointwise: the literal
+    # RLS curve crosses zero mid-transient, where any rounding is large
+    # relative to the value itself (about 1e-12 pointwise at lam = 0.85).
+    @pytest.mark.parametrize("fast, slow, param", [
+        (lms_theory_paper, naive_lms_paper, 0.43),
+        (lms_theory_paper, naive_lms_paper, 1.57),
+        (lms_theory_exact, naive_lms_exact, 0.43),
+        (lms_theory_exact, naive_lms_exact, 1.57),
+        (rls_theory_paper, naive_rls_paper, 0.61),
+        (rls_theory_paper, naive_rls_paper, 0.85),
+        (rls_theory_exact, naive_rls_exact, 0.61),
+        (rls_theory_exact, naive_rls_exact, 0.85),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_case1_curves_match_matrix_evaluation(self, case1, fast, slow, param):
+        band, sampling, s_f, c_w = model_parts(case1)
+        got = fast(case1.model.operator, s_f, param, 60).values
+        want = slow(band, sampling, s_f, c_w, param, 60)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestErrorRecursion:
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_rejects_forgetting_factor_outside_unit_interval(self, setup10, lam):
+        with pytest.raises(ValueError, match="forgetting factor"):
+            setup10.model.operator.recursion("rls", lam, setup10.model.s_f)
+
+    def test_rejects_unknown_algorithm(self, setup10):
+        with pytest.raises(ValueError, match="algorithm"):
+            setup10.model.operator.recursion("nlms", 0.5, setup10.model.s_f)
