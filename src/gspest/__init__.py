@@ -8,7 +8,7 @@ measured learning curves against closed-form predictions.
 
 from ._version import __version__
 from .estimators import (LmsState, RlsState, SignalModel, error_signal, lms_init,
-                         lms_msd_trajectory, lms_step, msd, msd_db, rls_gain_matrix,
+                         lms_msd_trajectory, lms_step, msd, rls_gain_matrix,
                          rls_init, rls_msd_trajectory, rls_step)
 from .graph import (BandBasis, GftBasis, Graph, StationTable, band_select,
                     build_knn_graph, gft_basis, haversine_km, laplacian,
@@ -18,9 +18,8 @@ from .harness import (ConfigError, DeviationStats, Experiment, ExperimentConfig,
                       synthetic_stations)
 from .io import DataError
 from .noise import SCENARIOS, NoiseModel, build_cw, draw_noise, noiseless, scenario_coefficients
-from .sampling import (SampledOperator, SamplingSet, apply_sampling,
-                       check_recoverability, greedy_max_lambda_min, random_sampling,
-                       sampled_gram, stable_step_range)
+from .sampling import (SampledOperator, SamplingSet, check_recoverability,
+                       greedy_max_lambda_min, random_sampling, sampled_gram)
 from .theory import (TheoryCurve, lms_steady_state, lms_theory_exact, lms_theory_paper,
                      rls_steady_state, rls_theory_exact, rls_theory_paper,
                      solve_lms_lyapunov)
@@ -30,11 +29,11 @@ __all__ = [
     "BandBasis", "GftBasis", "Graph", "StationTable",
     "band_select", "build_knn_graph", "gft_basis", "haversine_km", "laplacian",
     "project_bandlimited",
-    "SampledOperator", "SamplingSet", "apply_sampling", "check_recoverability",
-    "greedy_max_lambda_min", "random_sampling", "sampled_gram", "stable_step_range",
+    "SampledOperator", "SamplingSet", "check_recoverability",
+    "greedy_max_lambda_min", "random_sampling", "sampled_gram",
     "SCENARIOS", "NoiseModel", "build_cw", "draw_noise", "noiseless", "scenario_coefficients",
     "LmsState", "RlsState", "SignalModel", "error_signal", "lms_init", "lms_msd_trajectory",
-    "lms_step", "msd", "msd_db", "rls_gain_matrix", "rls_init", "rls_msd_trajectory", "rls_step",
+    "lms_step", "msd", "rls_gain_matrix", "rls_init", "rls_msd_trajectory", "rls_step",
     "TheoryCurve", "lms_steady_state", "lms_theory_exact", "lms_theory_paper",
     "rls_steady_state", "rls_theory_exact", "rls_theory_paper", "solve_lms_lyapunov",
     "ConfigError", "DataError", "DeviationStats", "Experiment", "ExperimentConfig",

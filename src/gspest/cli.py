@@ -6,7 +6,8 @@ manifest), theory (theory curves only), compare (tail deviation report for
 a results CSV).
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable or
-unreadable path included), 3 input data error or missing file.
+unreadable path and a LinAlgError included), 3 input data error or missing
+file.
 """
 
 import argparse
@@ -14,12 +15,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import io as gio
 from ._version import __version__
-from .graph import band_select, build_knn_graph, gft_basis, laplacian
+from .graph import build_knn_graph, gft_basis, laplacian
 from .harness import (DEFAULT_BURN_IN, ConfigError, _to_db, prepare_experiment,
                       run_experiment, synthetic_stations, tail_deviation_db, theory_curves)
 
@@ -36,12 +38,10 @@ def _resolve_stations(config, stations_flag):
 def _cached_basis(cache_dir, stations, k):
     if cache_dir is None:
         return None
-    hit = gio.load_graph_cache(cache_dir, stations, k)
-    if hit is not None:
-        return hit[1]
-    graph = build_knn_graph(stations, k)
-    basis = gft_basis(laplacian(graph))
-    gio.save_graph_cache(cache_dir, stations, k, graph, basis)
+    basis = gio.load_graph_cache(cache_dir, stations, k)
+    if basis is None:
+        basis = gft_basis(laplacian(build_knn_graph(stations, k)))
+        gio.save_graph_cache(cache_dir, stations, k, basis)
     return basis
 
 
@@ -53,7 +53,7 @@ def _apply_overrides(config, args):
         overrides["runs"] = args.runs
     if args.iterations is not None:
         overrides["iterations"] = args.iterations
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides) if overrides else config
 
 
 def _inputs(args, *out_paths):
@@ -75,7 +75,7 @@ def cmd_build_graph(args) -> int:
     stations = gio.read_station_csv(args.stations_csv)
     graph = build_knn_graph(stations, args.k)
     basis = gft_basis(laplacian(graph))
-    cache_path = gio.save_graph_cache(args.cache_dir, stations, args.k, graph, basis)
+    cache_path = gio.save_graph_cache(args.cache_dir, stations, args.k, basis)
     degrees = graph.adjacency.sum(axis=1)
     digest = gio.station_digest(stations)
     nodes_path = cache_path[:-4] + "_nodes.csv"

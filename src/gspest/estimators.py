@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import BandBasis
-from .noise import NoiseModel
+from .noise import NoiseModel, draw_noise
 from .sampling import ErrorRecursion, SampledOperator, SamplingSet
 
 
@@ -162,16 +162,6 @@ def msd(model: SignalModel, s_hat: np.ndarray) -> float:
     return float(r @ r)
 
 
-def msd_db(value):
-    """Map squared deviations to decibels; exact zero maps to -inf."""
-    v = np.asarray(value, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("squared deviation cannot be negative")
-    with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(v)
-    return float(out) if np.isscalar(value) or v.ndim == 0 else out
-
-
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
                    rng: np.random.Generator, frozen_noise: bool) -> np.ndarray:
     """Squared norm of the error delta <- decay * delta + w_S @ gain per step.
@@ -184,13 +174,12 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
-    sqrt_cw = np.sqrt(model.noise.c_w)
     sel = list(model.sampling.indices)
     if frozen_noise:
-        w = sqrt_cw * rng.standard_normal(model.n)
+        w = draw_noise(model.noise, rng)
         inject = np.broadcast_to(w[sel] @ rec.gain, (n_iter - 1, model.f))
     else:
-        noise = rng.standard_normal((n_iter - 1, model.n)) * sqrt_cw[None, :]
+        noise = rng.standard_normal((n_iter - 1, model.n)) * np.sqrt(model.noise.c_w)[None, :]
         inject = noise[:, sel] @ rec.gain
     delta = rec.delta0
     vals = np.empty(n_iter)

@@ -141,21 +141,16 @@ class BandBasis:
 
 
 def haversine_km(coords_a: np.ndarray, coords_b: np.ndarray) -> np.ndarray:
-    """Great-circle distances in km between two (m, 2) arrays of lat/lon degrees."""
-    a = np.radians(np.atleast_2d(coords_a))
-    b = np.radians(np.atleast_2d(coords_b))
-    dlat = b[:, 0] - a[:, 0]
-    dlon = b[:, 1] - a[:, 1]
-    h = np.sin(dlat / 2) ** 2 + np.cos(a[:, 0]) * np.cos(b[:, 0]) * np.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    """Great-circle distances in km between lat/lon degree pairs.
 
-
-def _pairwise_haversine(coords: np.ndarray) -> np.ndarray:
-    lat = np.radians(coords[:, 0])[:, None]
-    lon = np.radians(coords[:, 1])[:, None]
-    dlat = lat.T - lat
-    dlon = lon.T - lon
-    h = np.sin(dlat / 2) ** 2 + np.cos(lat) * np.cos(lat.T) * np.sin(dlon / 2) ** 2
+    The last axis holds (lat, lon); the leading axes broadcast, so
+    (c[:, None, :], c[None, :, :]) gives the pairwise distance matrix.
+    """
+    a = np.radians(coords_a)
+    b = np.radians(coords_b)
+    dlat = b[..., 0] - a[..., 0]
+    dlon = b[..., 1] - a[..., 1]
+    h = np.sin(dlat / 2) ** 2 + np.cos(a[..., 0]) * np.cos(b[..., 0]) * np.sin(dlon / 2) ** 2
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
@@ -170,7 +165,8 @@ def build_knn_graph(stations: StationTable, k: int) -> Graph:
     n = stations.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    dist = _pairwise_haversine(stations.coords)
+    c = stations.coords
+    dist = haversine_km(c[:, None, :], c[None, :, :])
     np.fill_diagonal(dist, np.inf)
     adj = np.zeros((n, n))
     idx = np.arange(n)

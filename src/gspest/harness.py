@@ -14,15 +14,15 @@ import hashlib
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import SignalModel, lms_msd_trajectory, rls_msd_trajectory
-from .graph import (BandBasis, StationTable, band_select, build_knn_graph, gft_basis,
+from .graph import (StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
 from .noise import build_cw, noiseless, scenario_coefficients
-from .sampling import ErrorRecursion, SamplingSet, greedy_max_lambda_min, random_sampling
+from .sampling import ErrorRecursion, greedy_max_lambda_min, random_sampling
 from .theory import (TheoryCurve, limits, lms_theory_exact, lms_theory_paper,
                      rls_theory_exact, rls_theory_paper)
 
@@ -59,13 +59,9 @@ class ExperimentConfig:
     stations_csv: str | None = None
     n_stations: int = 299
     stations_seed: int = 2018
-    store_per_run: bool = True
 
     def scenario_pair(self) -> tuple[float, float]:
         return scenario_coefficients(self.scenario)
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> None:
@@ -105,8 +101,6 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
         errors.append(f"noise_protocol must be 'iid' or 'frozen', got {config.noise_protocol!r}")
     if config.stations_csv is None and (not isinstance(config.n_stations, int) or config.n_stations < 2):
         errors.append(f"n_stations must be an integer >= 2, got {config.n_stations!r}")
-    if not isinstance(config.store_per_run, bool):
-        errors.append(f"store_per_run must be a boolean, got {config.store_per_run!r}")
     if n_nodes is not None and isinstance(config.k, int) and isinstance(config.bandwidth, int):
         if config.k > n_nodes - 1:
             errors.append(f"k ({config.k}) must be at most n-1 ({n_nodes - 1})")
@@ -165,8 +159,6 @@ class Experiment:
     config: ExperimentConfig
     stations: StationTable
     n_edges: int
-    band: BandBasis
-    sampling: SamplingSet
     model: SignalModel
 
 
@@ -203,8 +195,7 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
     model.operator.require_recoverable()
     # trace L = 2|E| for an unweighted graph
     n_edges = int(round(float(np.sum(basis.eigenvalues)) / 2))
-    return Experiment(config=config, stations=stations, n_edges=n_edges, band=band,
-                      sampling=sampling, model=model)
+    return Experiment(config=config, stations=stations, n_edges=n_edges, model=model)
 
 
 def theory_curves(exp: Experiment) -> tuple[TheoryCurve, TheoryCurve]:
@@ -241,13 +232,13 @@ class RunResult:
     msd_mean: np.ndarray  # linear average over runs
     msd_mean_db: np.ndarray
     msd_se: np.ndarray  # per-iteration standard error of the mean, linear
+    per_run: np.ndarray  # one linear MSD curve per run, shape (runs, iterations)
     theory_paper: TheoryCurve
     theory_exact: TheoryCurve
     theory_paper_db: np.ndarray
     theory_exact_db: np.ndarray
     deviation: DeviationStats
     metadata: dict = field(default_factory=dict)
-    per_run: np.ndarray | None = None
 
 
 def _to_db(values: np.ndarray) -> np.ndarray:
@@ -287,16 +278,11 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     with np.errstate(divide="ignore", invalid="ignore"):
         se_db = (10.0 / np.log(10.0)) * se_lin / mean_lin
     tail_se_db = float(np.mean(se_db)) if np.all(np.isfinite(se_db)) else float("inf")
-    if result.per_run is not None and result.per_run.shape[0] > 1:
-        run_tail_means = result.per_run[:, tail].mean(axis=1)
-        se_tail = float(run_tail_means.std(ddof=1) / math.sqrt(run_tail_means.shape[0]))
-        gap = abs(float(run_tail_means.mean()) - float(np.mean(result.theory_exact.values[tail])))
-        exact_tail_z = gap / se_tail if se_tail > 0 else (0.0 if gap == 0 else float("inf"))
-    else:
-        # no per-run curves kept: bound the tail-mean error with per-t errors
-        gap = abs(float(np.mean(mean_lin)) - float(np.mean(result.theory_exact.values[tail])))
-        bound = float(np.mean(se_lin))
-        exact_tail_z = gap / bound if bound > 0 else (0.0 if gap == 0 else float("inf"))
+    run_tail_means = result.per_run[:, tail].mean(axis=1)
+    n_runs = run_tail_means.shape[0]
+    se_tail = float(run_tail_means.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
+    gap = abs(float(run_tail_means.mean()) - float(np.mean(result.theory_exact.values[tail])))
+    exact_tail_z = gap / se_tail if se_tail > 0 else (0.0 if gap == 0 else float("inf"))
     return DeviationStats(
         burn_in_fraction=float(burn_in_fraction),
         n_tail=n_tail,
@@ -350,7 +336,7 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     metadata = {
         "scenario": cfg.scenario if isinstance(cfg.scenario, str) else list(cfg.scenario_pair()),
         "scenario_coefficients": list(cfg.scenario_pair()),
-        "sampling_indices": list(exp.sampling.indices),
+        "sampling_indices": list(model.sampling.indices),
         "lambda_min": model.operator.lam_min,
         "n_stations": exp.stations.n,
         "n_edges": exp.n_edges,
@@ -380,15 +366,13 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         msd_mean=msd_mean,
         msd_mean_db=_to_db(msd_mean),
         msd_se=msd_se,
+        per_run=per_run,
         theory_paper=theory_paper,
         theory_exact=theory_exact,
         theory_paper_db=_to_db(theory_paper.values),
         theory_exact_db=_to_db(theory_exact.values),
         deviation=None,  # filled below
         metadata=metadata,
-        per_run=per_run,
     )
     result.deviation = compare(result, DEFAULT_BURN_IN)
-    if not cfg.store_per_run:
-        result.per_run = None
     return result

@@ -208,7 +208,9 @@ def read_results_csv(path) -> dict[str, np.ndarray]:
 def build_manifest(result: RunResult, stations: StationTable, duration_seconds: float) -> dict:
     """Reproduction record for one run: effective config, provenance, and the
     numbers that decide whether the run can be trusted (stability, spectral
-    radius, steady states and the predicted literal - exact gap)."""
+    radius, steady states, the predicted literal - exact gap and the measured
+    tail deviation, whose non-finite values are written as null)."""
+    deviation = dataclasses.asdict(result.deviation)
     return {
         "format": "gspest-run-manifest/1",
         "package_version": __version__,
@@ -222,6 +224,7 @@ def build_manifest(result: RunResult, stations: StationTable, duration_seconds: 
         "spectral_radius": result.metadata.get("spectral_radius"),
         "steady_state": result.metadata.get("steady_state"),
         "predicted_gap_db": result.metadata.get("predicted_gap_db"),
+        "deviation": {k: v if math.isfinite(v) else None for k, v in deviation.items()},
         "duration_seconds": float(duration_seconds),
         "stages": dict(result.metadata.get("stages", {})),
     }
@@ -245,8 +248,8 @@ def _cache_basename(digest: str, k: int) -> str:
     return f"graph_{digest[:16]}_k{k}"
 
 
-def load_graph_cache(cache_dir, stations: StationTable, k: int):
-    """Return (Graph, GftBasis) from cache, or None on miss/mismatch."""
+def load_graph_cache(cache_dir, stations: StationTable, k: int) -> GftBasis | None:
+    """Return the cached Laplacian spectrum, or None on miss/mismatch."""
     digest = station_digest(stations)
     path = os.path.join(cache_dir, _cache_basename(digest, k) + ".npz")
     if not os.path.exists(path):
@@ -254,18 +257,14 @@ def load_graph_cache(cache_dir, stations: StationTable, k: int):
     with np.load(path, allow_pickle=False) as data:
         if str(data["digest"]) != digest or int(data["k"]) != k:
             return None
-        graph = Graph(adjacency=data["adjacency"])
-        basis = GftBasis(eigenvalues=data["eigenvalues"], vectors=data["vectors"])
-    return graph, basis
+        return GftBasis(eigenvalues=data["eigenvalues"], vectors=data["vectors"])
 
 
-def save_graph_cache(cache_dir, stations: StationTable, k: int,
-                     graph: Graph, basis: GftBasis) -> str:
+def save_graph_cache(cache_dir, stations: StationTable, k: int, basis: GftBasis) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     digest = station_digest(stations)
     path = os.path.join(cache_dir, _cache_basename(digest, k) + ".npz")
-    np.savez(path, digest=digest, k=k, adjacency=graph.adjacency,
-             eigenvalues=basis.eigenvalues, vectors=basis.vectors)
+    np.savez(path, digest=digest, k=k, eigenvalues=basis.eigenvalues, vectors=basis.vectors)
     return path
 
 

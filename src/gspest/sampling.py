@@ -15,6 +15,8 @@ from .graph import BandBasis
 
 RECOVERABILITY_TOL = 1e-8
 
+_MAX_ATTEMPTS = 100  # random draws before random_sampling gives up
+
 _BISECT_ITERS = 80
 _PRUNE_EVERY = 4  # halvings between pruning passes of the greedy scorer
 
@@ -49,17 +51,6 @@ class SamplingSet:
 
     def indicator(self) -> np.ndarray:
         return self.mask().astype(float)
-
-
-def apply_sampling(sampling: SamplingSet, x: np.ndarray) -> np.ndarray:
-    """Zero a node signal outside the sampling set. Idempotent."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sampling.n,):
-        raise ValueError(f"signal shape {x.shape} != ({sampling.n},)")
-    out = np.zeros_like(x)
-    sel = list(sampling.indices)
-    out[sel] = x[sel]
-    return out
 
 
 def sampled_gram(band: BandBasis, sampling: SamplingSet) -> np.ndarray:
@@ -167,17 +158,6 @@ def check_recoverability(band: BandBasis, sampling: SamplingSet) -> tuple[bool, 
     vals = np.linalg.eigvalsh(sampled_gram(band, sampling))
     lam_min = float(vals[0])
     return lam_min > RECOVERABILITY_TOL, lam_min
-
-
-def stable_step_range(band: BandBasis, sampling: SamplingSet) -> tuple[float, float]:
-    """Open interval (0, mu_max) of LMS step sizes with a stable mean recursion.
-
-    mu_max = 2 / lambda_max of the sampled Gram matrix. Raises on a
-    non-recoverable sampling set.
-    """
-    op = SampledOperator(band, sampling, np.zeros(band.n))  # the noise plays no part
-    op.require_recoverable()
-    return 0.0, op.mu_max
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, root_above, data: tuple,
@@ -317,21 +297,21 @@ def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
     return SamplingSet(indices=tuple(sorted(selected)), n=n)
 
 
-def random_sampling(band: BandBasis, m: int, seed, max_attempts: int = 100) -> SamplingSet:
+def random_sampling(band: BandBasis, m: int, seed) -> SamplingSet:
     """Uniform random sampling set, retried until recoverable.
 
     Draws size-m subsets without replacement and returns the first one whose
     Gram matrix passes the recoverability check; raises ValueError after
-    max_attempts failures. Deterministic given the seed.
+    _MAX_ATTEMPTS failures. Deterministic given the seed.
     """
     n, f = band.n, band.f
     if not f <= m <= n:
         raise ValueError(f"sample count must satisfy {f} <= m <= {n}, got {m}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         idx = np.sort(rng.choice(n, size=m, replace=False))
         cand = SamplingSet(indices=tuple(int(i) for i in idx), n=n)
         ok, _ = check_recoverability(band, cand)
         if ok:
             return cand
-    raise ValueError(f"no recoverable sampling set found in {max_attempts} attempts")
+    raise ValueError(f"no recoverable sampling set found in {_MAX_ATTEMPTS} attempts")

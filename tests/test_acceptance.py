@@ -54,7 +54,6 @@ from gspest import (
     rls_theory_exact,
     run_experiment,
     solve_lms_lyapunov,
-    stable_step_range,
     synthetic_stations,
 )
 from gspest.cli import main
@@ -122,7 +121,7 @@ def full_scale_rows(algorithm, iterations, stations, bases):
         iid = [run_experiment(config, stations, basis).deviation for config in configs]
         durations[case] = time.monotonic() - started
         for config, iid_dev in zip(configs, iid):
-            frozen = config.with_overrides(noise_protocol="frozen")
+            frozen = replace(config, noise_protocol="frozen")
             frozen_dev = run_experiment(frozen, stations, basis).deviation
             rows.append((case, config.scenario, config.param, iid_dev, frozen_dev))
     return rows, durations
@@ -296,9 +295,8 @@ class TestAcceptance:
         exp = prepare_experiment(config, stations299, bases299[8])
         model = exp.model
         energy = float(model.s_f @ model.s_f)
-        mu_max = stable_step_range(exp.band, exp.sampling)[1]
-
-        op = SampledOperator(exp.band, exp.sampling, model.noise.c_w)
+        op = SampledOperator(model.band, model.sampling, model.noise.c_w)
+        mu_max = op.mu_max
         below = lms_theory_exact(op, model.s_f, 0.99 * mu_max, 2000).values
         steady = lms_steady_state(op, 0.99 * mu_max, "exact")
         assert np.isfinite(below).all()

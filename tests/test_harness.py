@@ -1,5 +1,7 @@
 """Experiment configuration, seeding, Monte Carlo averaging and comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -94,7 +96,7 @@ class TestConfigValidation:
             validate_config(config(algorithm="rls", param=1.5))
 
     def test_overrides(self):
-        cfg = config().with_overrides(master_seed=7, runs=99)
+        cfg = replace(config(), master_seed=7, runs=99)
         assert cfg.master_seed == 7
         assert cfg.runs == 99
         assert cfg.param == BASE["param"]
@@ -119,8 +121,8 @@ class TestSeedScheme:
 class TestPrepareExperiment:
     def test_pipeline_shapes(self, setup10):
         assert setup10.stations.n == 10
-        assert setup10.band.f == 4
-        assert setup10.sampling.size == 6
+        assert setup10.model.band.f == 4
+        assert setup10.model.sampling.size == 6
         assert setup10.model.s_f.shape == (4,)
 
     def test_zero_noise_scenario_uses_zero_covariance(self):
@@ -129,7 +131,7 @@ class TestPrepareExperiment:
 
     def test_random_strategy(self):
         exp = prepare_experiment(config(sampling_strategy="random"))
-        assert exp.sampling.size == 6
+        assert exp.model.sampling.size == 6
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -168,12 +170,6 @@ class TestRunExperiment:
         ratio = np.median(few.msd_se[5:] / many.msd_se[5:])
         assert ratio == pytest.approx(2.0, rel=0.25)
 
-    def test_store_per_run_flag(self):
-        res = run_experiment(config(store_per_run=False))
-        assert res.per_run is None
-        assert res.deviation is not None
-        assert np.isfinite(res.deviation.exact_tail_z)
-
     def test_first_iteration_is_deterministic(self):
         res = run_experiment(config())
         energy = float(res.metadata["signal_energy"])
@@ -183,7 +179,7 @@ class TestRunExperiment:
     def test_metadata_contents(self, setup10):
         res = run_experiment(config())
         md = res.metadata
-        assert md["sampling_indices"] == list(setup10.sampling.indices)
+        assert md["sampling_indices"] == list(setup10.model.sampling.indices)
         assert md["lambda_min"] > 1e-8
         assert md["mu_max"] > 0
         assert md["stable"] is True
@@ -218,7 +214,7 @@ class TestRunExperiment:
         # the sampled Gram is eigendecomposed once and the RLS gain solved
         # once per experiment, not once per run
         basis = gft_basis(laplacian(build_knn_graph(stations10, BASE["k"])))
-        monkeypatch.setattr(harness, "greedy_max_lambda_min", lambda band, m: setup10.sampling)
+        monkeypatch.setattr(harness, "greedy_max_lambda_min", lambda band, m: setup10.model.sampling)
         counts = {"eig": 0, "solve": 0}
 
         def count(name, kind):
@@ -233,7 +229,7 @@ class TestRunExperiment:
                            ("inv", "solve")):
             count(name, kind)
         res = run_experiment(config(algorithm=algorithm, param=param, runs=8), basis=basis)
-        assert res.metadata["sampling_indices"] == list(setup10.sampling.indices)
+        assert res.metadata["sampling_indices"] == list(setup10.model.sampling.indices)
         assert counts["eig"] == 1
         assert counts["solve"] <= 1
 

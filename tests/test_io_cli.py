@@ -4,6 +4,7 @@ CSV writers use shortest round-trip float formatting, so most checks here
 can compare byte-for-byte instead of within tolerance.
 """
 
+import dataclasses
 import errno
 import json
 import math
@@ -244,6 +245,24 @@ class TestManifest:
         gio.write_manifest(path, manifest)
         assert gio.read_manifest(path) == manifest
 
+    def test_lms_records_deviation(self, tmp_path):
+        config = small_config(iterations=15, runs=2)
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        result = run_experiment(config, stations)
+        # non-finite figures are written as null, so the file stays strict JSON;
+        # here the literal curve dips below zero in the tail, so its deviations are nan
+        deviation = dataclasses.replace(result.deviation, tail_se_db=math.inf)
+        manifest = gio.build_manifest(dataclasses.replace(result, deviation=deviation),
+                                      stations, 0.0)
+        for key, value in dataclasses.asdict(deviation).items():
+            assert manifest["deviation"][key] == (value if math.isfinite(value) else None)
+        assert manifest["deviation"]["paper_max_abs_db"] is None
+        assert manifest["deviation"]["tail_se_db"] is None
+        assert manifest["deviation"]["n_tail"] == 8
+        path = tmp_path / "m.json"
+        gio.write_manifest(path, manifest)
+        json.loads(path.read_text(), parse_constant=pytest.fail)
+
     def test_rls_records_predicted_gap(self):
         lam = 0.7
         config = small_config(algorithm="rls", param=lam, iterations=15, runs=2)
@@ -268,7 +287,7 @@ class TestManifest:
         steady = manifest["steady_state"]
         assert manifest["predicted_gap_db"] == 10 * math.log10(steady["paper"] / steady["exact"])
 
-        unstable = config.with_overrides(param=1.05 * op.mu_max)
+        unstable = dataclasses.replace(config, param=1.05 * op.mu_max)
         with pytest.warns(RuntimeWarning, match="stability limit"):
             result = run_experiment(unstable, stations)
         manifest = gio.build_manifest(result, stations, 0.0)
@@ -299,27 +318,53 @@ class TestManifest:
 
 class TestGraphCache:
     def test_save_then_load_hit(self, tmp_path, cache_pieces):
-        stations, graph, basis = cache_pieces
-        gio.save_graph_cache(tmp_path, stations, 3, graph, basis)
+        stations, _, basis = cache_pieces
+        gio.save_graph_cache(tmp_path, stations, 3, basis)
         hit = gio.load_graph_cache(tmp_path, stations, 3)
         assert hit is not None
-        assert_array_equal(hit[0].adjacency, graph.adjacency)
-        assert_array_equal(hit[1].eigenvalues, basis.eigenvalues)
-        assert_array_equal(hit[1].vectors, basis.vectors)
+        assert_array_equal(hit.eigenvalues, basis.eigenvalues)
+        assert_array_equal(hit.vectors, basis.vectors)
 
     def test_miss_on_other_k_or_stations(self, tmp_path, cache_pieces):
-        stations, graph, basis = cache_pieces
-        gio.save_graph_cache(tmp_path, stations, 3, graph, basis)
+        stations, _, basis = cache_pieces
+        gio.save_graph_cache(tmp_path, stations, 3, basis)
         assert gio.load_graph_cache(tmp_path, stations, 4) is None
         other = synthetic_stations(12, seed=6)
         assert gio.load_graph_cache(tmp_path, other, 3) is None
 
     def test_creates_cache_dir(self, tmp_path, cache_pieces):
-        stations, graph, basis = cache_pieces
+        stations, _, basis = cache_pieces
         target = tmp_path / "fresh" / "nested"
-        path = gio.save_graph_cache(target, stations, 3, graph, basis)
+        path = gio.save_graph_cache(target, stations, 3, basis)
         assert gio.load_graph_cache(target, stations, 3) is not None
         assert str(target) in path
+
+    def test_file_with_adjacency_still_hits(self, tmp_path, cache_pieces):
+        # caches written before the adjacency was dropped carry it as a fifth key
+        stations, graph, basis = cache_pieces
+        path = gio.save_graph_cache(tmp_path, stations, 3, basis)
+        np.savez(path, digest=gio.station_digest(stations), k=3, adjacency=graph.adjacency,
+                 eigenvalues=basis.eigenvalues, vectors=basis.vectors)
+        hit = gio.load_graph_cache(tmp_path, stations, 3)
+        assert hit is not None
+        assert_array_equal(hit.vectors, basis.vectors)
+
+    def test_build_graph_writes_spectrum_and_lists(self, tmp_path, capsys):
+        stations_path = write_stations(tmp_path)
+        cache = tmp_path / "cache"
+        assert main(["build-graph", stations_path, "--k", "3", "--cache-dir", str(cache)]) == 0
+        stations = gio.read_station_csv(stations_path)
+        (npz,) = cache.glob(f"graph_{gio.station_digest(stations)[:16]}_k3.npz")
+        with np.load(npz) as data:
+            assert sorted(data.files) == ["digest", "eigenvalues", "k", "vectors"]
+        (nodes,) = cache.glob("graph_*_k3_nodes.csv")
+        (edges,) = cache.glob("graph_*_k3_edges.csv")
+        assert nodes.read_text().splitlines()[1:] == [
+            f"{sid},{lat!r},{lon!r}" for sid, (lat, lon) in
+            zip(stations.ids, stations.coords.tolist())]
+        ids = stations.ids
+        assert edges.read_text().splitlines() == ["source,target"] + [
+            f"{ids[i]},{ids[j]}" for i, j in build_knn_graph(stations, 3).edge_list()]
 
 
 class TestCliBuildGraph:
@@ -479,12 +524,27 @@ class TestCliErrors:
         assert code == 2
         assert "runs" in capsys.readouterr().err
 
-    def test_workers_key_rejected(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, workers=1)
+    @pytest.mark.parametrize("key,value", [("workers", 1), ("store_per_run", True)])
+    def test_workers_key_rejected(self, tmp_path, capsys, key, value):
+        # both keys were config fields once; a config that still sets one is rejected
+        config_path = write_config(tmp_path, **{key: value})
         code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
-        assert "unknown key 'workers'" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_linalg_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, so it takes the one-line exit-2 path
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code = main(["run", write_config(tmp_path), "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: Eigenvalues did not converge"]
+        assert "Traceback" not in captured.err + captured.out
 
     def test_random_sampling_without_recoverable_set_exits_2(self, tmp_path, capsys):
         # on the 299-station table at k=8, f=120, m=150, master seed 23 draws

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from gspest import (
     BandBasis,
+    SampledOperator,
     SamplingSet,
-    apply_sampling,
     band_select,
     build_knn_graph,
     check_recoverability,
@@ -18,7 +18,6 @@ from gspest import (
     laplacian,
     random_sampling,
     sampled_gram,
-    stable_step_range,
     synthetic_stations,
 )
 from gspest.sampling import _arrowhead_min_eig, _rank_one_min_eig
@@ -99,13 +98,6 @@ class TestSamplingSet:
         assert s.mask().tolist() == [True, False, True, False]
         assert s.indicator().tolist() == [1.0, 0.0, 1.0, 0.0]
 
-    def test_apply_sampling_idempotent(self):
-        s = SamplingSet(indices=(1, 3), n=5)
-        x = np.arange(5.0) + 1
-        y = apply_sampling(s, x)
-        assert y.tolist() == [0.0, 2.0, 0.0, 4.0, 0.0]
-        assert_allclose(apply_sampling(s, y), y, rtol=0, atol=0)
-
 
 class TestGramAndRecoverability:
     def test_gram_eigenvalues_in_unit_interval(self):
@@ -133,14 +125,15 @@ class TestGramAndRecoverability:
     def test_stable_step_range(self):
         band = random_orthonormal(9, 4, seed=5)
         s = SamplingSet(indices=tuple(range(9)), n=9)
-        lo, hi = stable_step_range(band, s)
-        assert lo == 0.0
-        assert_allclose(hi, 2.0, rtol=1e-12)
+        op = SampledOperator(band, s, np.zeros(9))
+        op.require_recoverable()
+        assert_allclose(op.mu_max, 2.0, rtol=1e-12)
 
     def test_stable_step_range_requires_recoverable(self):
         band = random_orthonormal(10, 4, seed=7)
+        op = SampledOperator(band, SamplingSet(indices=(0, 1), n=10), np.zeros(10))
         with pytest.raises(ValueError):
-            stable_step_range(band, SamplingSet(indices=(0, 1), n=10))
+            op.require_recoverable()
 
 
 class TestSecularSolvers:

@@ -23,14 +23,13 @@ from gspest import (
     rls_theory_exact,
     rls_theory_paper,
     solve_lms_lyapunov,
-    stable_step_range,
 )
 from gspest.sampling import SamplingSet, sampled_gram
 
 
 def model_parts(setup):
     m = setup.model
-    return m.band, setup.sampling, m.s_f, m.noise.c_w
+    return m.band, m.sampling, m.s_f, m.noise.c_w
 
 
 def injected_covariance(band, sampling, c_w, mu):
@@ -160,7 +159,7 @@ class TestLmsCurves:
 
     def test_unstable_step_is_allowed_and_grows(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
-        _, mu_max = stable_step_range(band, sampling)
+        mu_max = SampledOperator(band, sampling, c_w).mu_max
         curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.05 * mu_max,
                                  400).values
         assert curve[-1] > 1e3 * curve[0]
@@ -193,7 +192,7 @@ class TestLmsSteadyState:
 
     def test_lyapunov_rejects_unstable_step(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        _, mu_max = stable_step_range(band, sampling)
+        mu_max = SampledOperator(band, sampling, c_w).mu_max
         with pytest.raises(ValueError):
             solve_lms_lyapunov(band, sampling, c_w, 1.01 * mu_max)
 
@@ -244,7 +243,7 @@ class TestLmsSteadyState:
 
     def test_unstable_step_rejected(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        _, mu_max = stable_step_range(band, sampling)
+        mu_max = SampledOperator(band, sampling, c_w).mu_max
         with pytest.raises(ValueError):
             lms_steady_state(SampledOperator(band, sampling, c_w), 1.01 * mu_max, "exact")
 
