@@ -524,14 +524,20 @@ class TestCliErrors:
         assert code == 2
         assert "runs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("workers", 1), ("store_per_run", True)])
-    def test_workers_key_rejected(self, tmp_path, capsys, key, value):
-        # both keys were config fields once; a config that still sets one is rejected
-        config_path = write_config(tmp_path, **{key: value})
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, workers=1)
         code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
-        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert "unknown key 'workers'" in capsys.readouterr().err
+
+    def test_store_per_run_key_rejected(self, tmp_path, capsys):
+        # store_per_run was a config field once; a config that still sets it is rejected
+        config_path = write_config(tmp_path, store_per_run=True)
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert "unknown key 'store_per_run'" in capsys.readouterr().err
 
     def test_linalg_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, so it takes the one-line exit-2 path
