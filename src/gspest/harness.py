@@ -221,6 +221,7 @@ class DeviationStats:
     exact_mean_abs_db: float
     tail_se_db: float  # average dB uncertainty of the empirical tail, delta method
     exact_tail_z: float  # |tail mean error vs exact theory| / its standard error
+    # both are NaN (undefined) for a one-run experiment
 
 
 @dataclass
@@ -273,16 +274,18 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     emp_db = result.msd_mean_db[tail]
     paper_max, paper_mean = tail_deviation_db(emp_db, result.theory_paper_db[tail])
     exact_max, exact_mean = tail_deviation_db(emp_db, result.theory_exact_db[tail])
-    mean_lin = result.msd_mean[tail]
-    se_lin = result.msd_se[tail]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        se_db = (10.0 / np.log(10.0)) * se_lin / mean_lin
-    tail_se_db = float(np.mean(se_db)) if np.all(np.isfinite(se_db)) else float("inf")
     run_tail_means = result.per_run[:, tail].mean(axis=1)
     n_runs = run_tail_means.shape[0]
-    se_tail = float(run_tail_means.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-    gap = abs(float(run_tail_means.mean()) - float(np.mean(result.theory_exact.values[tail])))
-    exact_tail_z = gap / se_tail if se_tail > 0 else (0.0 if gap == 0 else float("inf"))
+    if n_runs < 2:  # one run has no spread to take an error from
+        tail_se_db = exact_tail_z = float("nan")
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            se_db = (10.0 / np.log(10.0)) * result.msd_se[tail] / result.msd_mean[tail]
+        tail_se_db = float(np.mean(se_db)) if np.all(np.isfinite(se_db)) else float("inf")
+        se_tail = float(run_tail_means.std(ddof=1) / math.sqrt(n_runs))
+        gap = abs(float(run_tail_means.mean())
+                  - float(np.mean(result.theory_exact.values[tail])))
+        exact_tail_z = gap / se_tail if se_tail > 0 else (0.0 if gap == 0 else float("inf"))
     return DeviationStats(
         burn_in_fraction=float(burn_in_fraction),
         n_tail=n_tail,

@@ -6,6 +6,7 @@ basis rows has smallest eigenvalue bounded away from zero; that eigenvalue
 also fixes the stable range of adaptation step sizes.
 """
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,9 +17,24 @@ from .graph import BandBasis
 RECOVERABILITY_TOL = 1e-8
 
 _MAX_ATTEMPTS = 100  # random draws before random_sampling gives up
+_GREEDY_MEMO_SIZE = 16  # greedy sets kept in process, oldest evicted first
+_RECURSION_MEMO_SIZE = 4  # error recursions kept per SampledOperator
 
 _BISECT_ITERS = 80
 _PRUNE_EVERY = 4  # halvings between pruning passes of the greedy scorer
+
+# (sha256 of u_f, u_f shape, m) -> greedy set. Module-level on purpose: the
+# reference grid asks for 2 sets over 24 rows, and every caller of
+# greedy_max_lambda_min gains without passing a cache around.
+_greedy_memo: dict[tuple, "SamplingSet"] = {}
+
+
+def _remember(memo: dict, key, value, size: int):
+    """Store value under key, evicting the oldest entries to keep at most size."""
+    while len(memo) >= size:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,13 @@ class ErrorRecursion:
     delta0: np.ndarray
     c_s: np.ndarray
 
+    def __post_init__(self):
+        # read-only views: one recursion is shared by every run and curve of a row
+        for name in ("decay", "response", "delta0", "c_s"):
+            arr = np.asarray(getattr(self, name), dtype=float).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def gain(self) -> np.ndarray:
         return self.step * self.response
@@ -87,7 +110,8 @@ class SampledOperator:
 
     c_w is the noise covariance diagonal over all nodes. recursion() hands
     out each estimator's error recursion, which is diagonal: LMS in the Gram
-    eigenbasis V, RLS in band coordinates.
+    eigenbasis V, RLS in band coordinates. The last few recursions are kept,
+    so the runs and theory curves of one experiment build theirs once.
     """
 
     def __init__(self, band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
@@ -103,6 +127,7 @@ class SampledOperator:
         self.lam, self.v = np.linalg.eigh(sampled_gram(band, sampling))
         self.lam_min = float(self.lam[0])
         self.mu_max = 2.0 / float(self.lam[-1])  # LMS is stable for 0 < mu < mu_max
+        self._recursions: dict[tuple, ErrorRecursion] = {}
 
     def require_recoverable(self) -> None:
         if self.lam_min <= RECOVERABILITY_TOL:
@@ -129,11 +154,20 @@ class SampledOperator:
 
         LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
         RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
-        Needs a recoverable set; mu is unrestricted, 0 < lam <= 1.
+        Needs a recoverable set; mu is unrestricted, 0 < lam <= 1. Repeated
+        arguments return the same (read-only) recursion.
         """
         s_f = np.asarray(s_f, dtype=float)
         if s_f.shape != (self.band.f,):
             raise ValueError(f"s_f shape {s_f.shape} != ({self.band.f},)")
+        key = (algorithm, float(param), s_f.tobytes())
+        rec = self._recursions.get(key)
+        if rec is None:
+            rec = _remember(self._recursions, key, self._recursion(algorithm, param, s_f),
+                            _RECURSION_MEMO_SIZE)
+        return rec
+
+    def _recursion(self, algorithm: str, param: float, s_f: np.ndarray) -> ErrorRecursion:
         self.require_recoverable()
         if algorithm == "lms":
             return ErrorRecursion(decay=1.0 - param * self.lam, step=param,
@@ -260,11 +294,24 @@ def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
     that provably cannot win a step stop being bisected (see _bisect); the
     chosen nodes are those of scoring every candidate fully.
 
-    Deterministic. Requires f <= m <= n.
+    Deterministic. Requires f <= m <= n. The set depends only on the bytes of
+    band.u_f and on m, so the last _GREEDY_MEMO_SIZE sets are kept in process
+    under that key and a repeated call returns the kept set.
     """
     n, f = band.n, band.f
     if not f <= m <= n:
         raise ValueError(f"sample count must satisfy {f} <= m <= {n}, got {m}")
+    u = np.ascontiguousarray(band.u_f)
+    key = (hashlib.sha256(u.tobytes()).hexdigest(), u.shape, int(m))
+    chosen = _greedy_memo.get(key)
+    if chosen is None:
+        chosen = _remember(_greedy_memo, key, _greedy_select(band, m), _GREEDY_MEMO_SIZE)
+    return chosen
+
+
+def _greedy_select(band: BandBasis, m: int) -> SamplingSet:
+    """The selection of greedy_max_lambda_min, computed without the memo."""
+    n, f = band.n, band.f
     u = band.u_f
     row_sq = np.einsum("ij,ij->i", u, u)
     selected: list[int] = []

@@ -276,6 +276,12 @@ class TestCompare:
         assert stats.exact_mean_abs_db < 1.0
         assert np.isfinite(stats.exact_tail_z)
 
+    def test_one_run_leaves_se_and_z_undefined(self):
+        stats = run_experiment(config(runs=1)).deviation
+        assert np.isnan(stats.tail_se_db)
+        assert np.isnan(stats.exact_tail_z)
+        assert np.isfinite(stats.exact_mean_abs_db)
+
     def test_burn_in_bounds(self):
         res = run_experiment(config())
         with pytest.raises(ValueError):

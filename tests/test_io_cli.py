@@ -389,6 +389,12 @@ class TestCliBuildGraph:
         assert "non-numeric" in capsys.readouterr().err
 
 
+def test_run_experiment_writes_nothing_to_stdout(capfd):
+    # perfbench/run.py takes its result from the last line of stdout
+    run_experiment(small_config(iterations=20, runs=3))
+    assert capfd.readouterr().out == ""
+
+
 class TestCliRun:
     def test_writes_csv_and_manifest(self, tmp_path, capsys):
         config_path = write_config(tmp_path, iterations=20, runs=3)
@@ -403,6 +409,17 @@ class TestCliRun:
         assert all(math.isfinite(v) and v >= 0 for v in manifest["stages"].values())
         stdout = capsys.readouterr().out
         assert "tail mean |emp - theory|" in stdout
+
+    def test_stdout_holds_only_the_report(self, tmp_path, capfd):
+        config_path = write_config(tmp_path, iterations=20, runs=3)
+        out = tmp_path / "res.csv"
+        assert main(["run", config_path, "--out", str(out),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == f"wrote {out} (20 iterations, 3 runs)"
+        assert lines[1] == f"manifest: {out}.manifest.json"
+        assert lines[2].startswith("tail mean |emp - theory| dB: ")
 
     def test_overrides_change_the_run(self, tmp_path):
         config_path = write_config(tmp_path, iterations=20, runs=3)

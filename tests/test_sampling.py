@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gspest import (
     BandBasis,
+    ExperimentConfig,
     SampledOperator,
     SamplingSet,
     band_select,
@@ -17,10 +18,14 @@ from gspest import (
     greedy_max_lambda_min,
     laplacian,
     random_sampling,
+    run_experiment,
     sampled_gram,
     synthetic_stations,
 )
+from gspest import sampling
 from gspest.sampling import _arrowhead_min_eig, _rank_one_min_eig
+
+from conftest import SMALL_CONFIG
 
 
 def random_orthonormal(n, f, seed):
@@ -245,7 +250,10 @@ class TestGreedySelection:
 
     def test_deterministic(self):
         band = random_orthonormal(12, 5, seed=6)
-        assert greedy_max_lambda_min(band, 8).indices == greedy_max_lambda_min(band, 8).indices
+        sampling._greedy_memo.clear()  # both calls compute, neither reads the memo
+        first = greedy_max_lambda_min(band, 8).indices
+        sampling._greedy_memo.clear()
+        assert greedy_max_lambda_min(band, 8).indices == first
 
     def test_greedy_is_exhaustive_optimum_on_tiny_instance(self):
         # Greedy step 1 of m=1, f=1 is the global optimum by construction;
@@ -315,6 +323,64 @@ class TestSameSamplingSet:
             band = random_orthonormal(n, data.draw(st.integers(min_value=1, max_value=n)), seed)
         m = data.draw(st.integers(min_value=band.f, max_value=band.n))
         assert greedy_max_lambda_min(band, m).indices == unpruned_greedy(band, m)
+
+
+@pytest.fixture
+def greedy_runs(monkeypatch):
+    """Empty the greedy memo and record the m of every uncached selection."""
+    sampling._greedy_memo.clear()
+    runs = []
+    select = sampling._greedy_select
+
+    def counted(band, m):
+        runs.append(m)
+        return select(band, m)
+
+    monkeypatch.setattr(sampling, "_greedy_select", counted)
+    return runs
+
+
+class TestGreedyMemo:
+    def test_warm_hit_equals_cold_recomputation(self, greedy_runs):
+        import hashlib
+
+        stations = synthetic_stations(299, 2018)
+        for (k, f, m), want in TestSameSamplingSet.GOLDEN.items():
+            band = band_select(gft_basis(laplacian(build_knn_graph(stations, k))), f)
+            greedy_max_lambda_min(band, m)
+            warm = greedy_max_lambda_min(band, m)
+            sampling._greedy_memo.clear()
+            cold = greedy_max_lambda_min(band, m)
+            assert warm == cold
+            assert hashlib.sha256(",".join(map(str, warm.indices)).encode()).hexdigest() == want
+        assert greedy_runs == [210, 210, 210, 210]
+
+    def test_key_is_basis_bytes_and_m(self, greedy_runs):
+        band = random_orthonormal(12, 5, seed=6)
+        first = greedy_max_lambda_min(band, 8)
+        assert greedy_max_lambda_min(BandBasis(f=5, u_f=band.u_f.copy()), 8) is first
+        assert greedy_runs == [8]
+        nudged = band.u_f.copy()
+        nudged[3, 2] = np.nextafter(nudged[3, 2], np.inf)
+        greedy_max_lambda_min(BandBasis(f=5, u_f=nudged), 8)
+        assert greedy_runs == [8, 8]
+        greedy_max_lambda_min(band, 9)
+        assert greedy_runs == [8, 8, 9]
+
+    def test_bounded_oldest_evicted_first(self, greedy_runs):
+        band = random_orthonormal(40, 2, seed=3)
+        sizes = range(2, 2 + sampling._GREEDY_MEMO_SIZE + 5)
+        for m in sizes:
+            greedy_max_lambda_min(band, m)
+            assert len(sampling._greedy_memo) <= sampling._GREEDY_MEMO_SIZE
+        greedy_max_lambda_min(band, sizes[-1])  # newest: kept
+        greedy_max_lambda_min(band, sizes[0])  # oldest: evicted
+        assert greedy_runs == [*sizes, sizes[0]]
+
+    def test_one_selection_per_sampling_key_across_rows(self, greedy_runs):
+        for mu in (0.3, 0.5):
+            run_experiment(ExperimentConfig(**{**SMALL_CONFIG, "param": mu, "runs": 2}))
+        assert greedy_runs == [SMALL_CONFIG["sample_size"]]
 
 
 class TestRandomSampling:

@@ -365,3 +365,13 @@ class TestErrorRecursion:
     def test_rejects_unknown_algorithm(self, setup10):
         with pytest.raises(ValueError, match="algorithm"):
             setup10.model.operator.recursion("nlms", 0.5, setup10.model.s_f)
+
+    def test_built_once_per_arguments_and_read_only(self, setup10):
+        op, s_f = setup10.model.operator, setup10.model.s_f
+        rec = op.recursion("rls", 0.7, s_f)
+        assert op.recursion("rls", 0.7, s_f.copy()) is rec
+        assert op.recursion("rls", 0.8, s_f) is not rec
+        assert op.recursion("lms", 0.7, s_f) is not rec
+        for arr in (rec.decay, rec.response, rec.delta0, rec.c_s):
+            assert not arr.flags.writeable
+        assert op.c_s.flags.writeable  # the views leave the operator's arrays alone
