@@ -9,14 +9,16 @@ deviation (MSD), which equals the squared coefficient deviation because the
 band basis is orthonormal.
 """
 
+import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graph import BandBasis
-from .noise import NoiseModel, draw_noise
+from .graph import BandBasis, _frozen_array
+from .noise import NoiseModel
 from .sampling import ErrorRecursion, SampledOperator, SamplingSet
 
 
@@ -31,10 +33,8 @@ class SignalModel:
     noise: NoiseModel
 
     def __post_init__(self):
-        s_f = np.asarray(self.s_f, dtype=float)
-        x_o = np.asarray(self.x_o, dtype=float)
-        s_f.setflags(write=False)
-        x_o.setflags(write=False)
+        s_f = _frozen_array(self.s_f)
+        x_o = _frozen_array(self.x_o)
         object.__setattr__(self, "s_f", s_f)
         object.__setattr__(self, "x_o", x_o)
         n, f = self.band.n, self.band.f
@@ -71,9 +71,7 @@ class LmsState:
     t: int
 
     def __post_init__(self):
-        s_hat = np.asarray(self.s_hat, dtype=float)
-        s_hat.setflags(write=False)
-        object.__setattr__(self, "s_hat", s_hat)
+        object.__setattr__(self, "s_hat", _frozen_array(self.s_hat))
         if self.t < 1:
             raise ValueError("iteration counter starts at 1")
 
@@ -86,10 +84,8 @@ class RlsState:
     t: int
 
     def __post_init__(self):
-        s_hat = np.asarray(self.s_hat, dtype=float)
-        m_mat = np.asarray(self.m_mat, dtype=float)
-        s_hat.setflags(write=False)
-        m_mat.setflags(write=False)
+        s_hat = _frozen_array(self.s_hat)
+        m_mat = _frozen_array(self.m_mat)
         object.__setattr__(self, "s_hat", s_hat)
         object.__setattr__(self, "m_mat", m_mat)
         if self.t < 1:
@@ -163,48 +159,81 @@ def msd(model: SignalModel, s_hat: np.ndarray) -> float:
 
 
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
-                   rng: np.random.Generator, frozen_noise: bool) -> np.ndarray:
-    """Squared norm of the error delta <- decay * delta + w_S @ gain per step.
+                   rngs: Sequence[np.random.Generator], frozen_noise: bool) -> np.ndarray:
+    """Squared norm of the error delta <- decay * delta + w_S @ gain per step,
+    for every run at once; returns shape (len(rngs), n_iter).
 
-    w_S is the step's noise on the sampled nodes; with frozen noise one draw
-    serves every step, so its product with the gain is taken once. Drawing
-    the whole run's noise as one block consumes the generator exactly like
-    per-step draws, so stepwise and batched runs see identical noise. The
-    recursion's coordinates are orthonormal, so the squared norm is the MSD.
+    Run r draws only from rngs[r], n standard normals per step in step
+    order, exactly as per-step draw_noise calls would, so stepwise and
+    batched runs see identical noise whatever the batch. The sampled-node
+    selection and the sqrt(c_w) scaling fold into one (n, f) noise map, zero
+    off the sampling set, so a step's noise enters as z @ noise_map. With
+    frozen noise each run draws once and one (runs, f) term enters every
+    step. Otherwise runs and steps go in tiles of side x side, side =
+    isqrt(n_iter - 1): a tile holds at most the (n_iter - 1) * n draws of one
+    whole run, and takes one matrix product. The recursion's coordinates
+    are orthonormal, so the squared norm is the MSD.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
-    sel = list(model.sampling.indices)
+    n_runs, n = len(rngs), model.n
+    noise_map = np.zeros((n, model.f))
+    noise_map[list(model.sampling.indices)] = np.sqrt(rec.c_s)[:, None] * rec.gain
+    vals = np.empty((n_runs, n_iter))
+    vals[:, 0] = rec.delta0 @ rec.delta0
     if frozen_noise:
-        w = draw_noise(model.noise, rng)
-        inject = np.broadcast_to(w[sel] @ rec.gain, (n_iter - 1, model.f))
-    else:
-        noise = rng.standard_normal((n_iter - 1, model.n)) * np.sqrt(model.noise.c_w)[None, :]
-        inject = noise[:, sel] @ rec.gain
-    delta = rec.delta0
-    vals = np.empty(n_iter)
-    vals[0] = delta @ delta
-    for t in range(1, n_iter):
-        delta = rec.decay * delta + inject[t - 1]
-        vals[t] = delta @ delta
+        z = np.empty((n_runs, n))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        inject = z @ noise_map
+        delta = rec.delta0
+        for t in range(1, n_iter):
+            delta = rec.decay * delta + inject
+            vals[:, t] = np.einsum("rf,rf->r", delta, delta)
+        return vals
+    side = max(1, math.isqrt(n_iter - 1))
+    # one tile's draws and errors, reused by every tile
+    z_buf, e_buf = np.empty(side * side * n), np.empty(side * side * model.f)
+    for r0 in range(0, n_runs, side):
+        chunk = rngs[r0:r0 + side]
+        delta = rec.delta0
+        for t0 in range(1, n_iter, side):
+            steps = min(side, n_iter - t0)
+            rows = len(chunk) * steps
+            z = z_buf[:rows * n].reshape(len(chunk), steps, n)
+            for block, rng in zip(z, chunk):
+                rng.standard_normal(out=block)
+            tile = np.matmul(z.reshape(rows, n), noise_map,
+                             out=e_buf[:rows * model.f].reshape(rows, model.f))
+            tile = tile.reshape(len(chunk), steps, model.f)
+            for j in range(steps):  # the tile's injected noise becomes its errors
+                tile[:, j] += rec.decay * delta
+                delta = tile[:, j]
+            delta = delta.copy()  # the next tile overwrites the buffer
+            vals[r0:r0 + len(chunk), t0:t0 + steps] = np.einsum("rtf,rtf->rt", tile, tile)
     return vals
 
 
 def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
-                       rng: np.random.Generator, frozen_noise: bool = False) -> np.ndarray:
-    """MSD curve of one LMS run, computed in the sampled Gram eigenbasis.
+                       rngs: Sequence[np.random.Generator],
+                       frozen_noise: bool = False) -> np.ndarray:
+    """MSD curves of LMS runs, one per generator, computed in the sampled
+    Gram eigenbasis; returns shape (len(rngs), n_iter).
 
-    Entry 0 is the error of the zero initial estimate at t = 1; each later
-    entry follows one update with a fresh noise draw. Algebraically
-    identical to iterating lms_step and recording msd.
+    Run r draws its noise only from rngs[r]. Entry 0 of each curve is the
+    error of the zero initial estimate at t = 1; each later entry follows
+    one update with a fresh noise draw (or the run's one draw, with frozen
+    noise). Algebraically identical to iterating lms_step and recording msd.
     """
     return _msd_recursion(model, model.operator.recursion("lms", mu, model.s_f), n_iter,
-                          rng, frozen_noise)
+                          rngs, frozen_noise)
 
 
 def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
-                       rng: np.random.Generator, frozen_noise: bool = False) -> np.ndarray:
-    """MSD curve of one RLS run, computed in band coordinates; same
-    conventions as the LMS trajectory, identical to iterating rls_step."""
+                       rngs: Sequence[np.random.Generator],
+                       frozen_noise: bool = False) -> np.ndarray:
+    """MSD curves of RLS runs, one per generator, computed in band
+    coordinates; same conventions and shape as the LMS trajectory,
+    identical to iterating rls_step."""
     return _msd_recursion(model, model.operator.recursion("rls", lam, model.s_f), n_iter,
-                          rng, frozen_noise)
+                          rngs, frozen_noise)

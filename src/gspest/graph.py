@@ -20,7 +20,8 @@ _ORTHO_TOL = 1e-10
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype)
+    """A read-only view of values; the caller's own array stays writeable."""
+    out = np.asarray(values, dtype=dtype).view()
     out.setflags(write=False)
     return out
 

@@ -232,7 +232,7 @@ class RunResult:
     t: np.ndarray  # iteration index, starts at 1
     msd_mean: np.ndarray  # linear average over runs
     msd_mean_db: np.ndarray
-    msd_se: np.ndarray  # per-iteration standard error of the mean, linear
+    msd_se: np.ndarray  # per-iteration standard error of the mean, linear; NaN for one run
     per_run: np.ndarray  # one linear MSD curve per run, shape (runs, iterations)
     theory_paper: TheoryCurve
     theory_exact: TheoryCurve
@@ -326,15 +326,14 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     theory_paper, theory_exact = theory_curves(exp)
     predicted = time.perf_counter()
     trajectory = lms_msd_trajectory if cfg.algorithm == "lms" else rls_msd_trajectory
-    per_run = np.empty((n_runs, t_count))
-    for r in range(n_runs):
-        per_run[r] = trajectory(model, cfg.param, t_count, run_rng(cfg.master_seed, r),
-                                frozen_noise=frozen)
+    per_run = trajectory(model, cfg.param, t_count,
+                         [run_rng(cfg.master_seed, r) for r in range(n_runs)],
+                         frozen_noise=frozen)
     msd_mean = per_run.mean(axis=0)
     if n_runs > 1:
         msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
     else:
-        msd_se = np.zeros(t_count)
+        msd_se = np.full(t_count, np.nan)
     simulated = time.perf_counter()
     metadata = {
         "scenario": cfg.scenario if isinstance(cfg.scenario, str) else list(cfg.scenario_pair()),

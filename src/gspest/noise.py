@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _frozen_array
+
 # Named variance profiles: (n_a, n_b)
 SCENARIOS = {
     "i": (0.012, 0.0),
@@ -29,8 +31,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        c_w = np.asarray(self.c_w, dtype=float)
-        c_w.setflags(write=False)
+        c_w = _frozen_array(self.c_w)
         object.__setattr__(self, "c_w", c_w)
         if c_w.ndim != 1 or c_w.shape[0] < 1:
             raise ValueError("c_w must be a non-empty vector")

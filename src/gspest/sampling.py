@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import BandBasis
+from .graph import BandBasis, _frozen_array
 
 RECOVERABILITY_TOL = 1e-8
 
@@ -96,9 +96,7 @@ class ErrorRecursion:
     def __post_init__(self):
         # read-only views: one recursion is shared by every run and curve of a row
         for name in ("decay", "response", "delta0", "c_s"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def gain(self) -> np.ndarray:

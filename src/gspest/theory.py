@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BandBasis
+from .graph import BandBasis, _frozen_array
 from .sampling import (RECOVERABILITY_TOL, ErrorRecursion, SampledOperator, SamplingSet,
                        sampled_gram)
 
@@ -44,8 +44,7 @@ class TheoryCurve:
             raise ValueError(f"algorithm must be one of {tuple(_PARAM_NAMES)}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen_array(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("values must be a non-empty vector")

@@ -324,7 +324,7 @@ class TestAcceptance:
         zeros = np.zeros(model.band.n)
         theory = lms_theory_paper(SampledOperator(model.band, model.sampling, zeros),
                                   model.s_f, 0.5, 200).values
-        sim = lms_msd_trajectory(quiet, 0.5, 200, np.random.default_rng(0))
+        sim = lms_msd_trajectory(quiet, 0.5, 200, [np.random.default_rng(0)])[0]
         assert_allclose(theory, sim, rtol=1e-9)
 
     def test_c09_steady_state_formulas(self):

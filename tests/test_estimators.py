@@ -19,7 +19,7 @@ from gspest import (
     rls_msd_trajectory,
     rls_step,
 )
-from gspest.harness import _to_db
+from gspest.harness import _to_db, run_rng
 
 # Noise-free ground truth for the two-node fixture. With step size 25/16 the
 # per-iteration error factor is 7/16 exactly, so MSD(t) = 4 * (7/16)^(2t-2).
@@ -171,7 +171,7 @@ class TestTrajectories:
     def test_lms_matches_step_loop(self, setup10):
         model = setup10.model
         mu, n_iter = 0.5, 60
-        fast = lms_msd_trajectory(model, mu, n_iter, np.random.default_rng(17))
+        fast = lms_msd_trajectory(model, mu, n_iter, [np.random.default_rng(17)])[0]
         rng = np.random.default_rng(17)
         state = lms_init(model, mu)
         slow = [msd(model, state.s_hat)]
@@ -183,7 +183,7 @@ class TestTrajectories:
     def test_rls_matches_step_loop(self, setup10):
         model = setup10.model
         lam, n_iter = 0.7, 60
-        fast = rls_msd_trajectory(model, lam, n_iter, np.random.default_rng(19))
+        fast = rls_msd_trajectory(model, lam, n_iter, [np.random.default_rng(19)])[0]
         rng = np.random.default_rng(19)
         state = rls_init(model, lam)
         slow = [msd(model, state.s_hat)]
@@ -198,7 +198,7 @@ class TestTrajectories:
     ], ids=["lms", "rls"])
     def test_frozen_noise_reuses_one_draw(self, setup10, trajectory, init, step, param):
         model = setup10.model
-        fast = trajectory(model, param, 40, np.random.default_rng(23), frozen_noise=True)
+        fast = trajectory(model, param, 40, [np.random.default_rng(23)], frozen_noise=True)[0]
         rng = np.random.default_rng(23)
         w = draw_noise(model.noise, rng)
         state = init(model, param)
@@ -211,14 +211,55 @@ class TestTrajectories:
     def test_first_entry_is_signal_energy(self, setup10):
         model = setup10.model
         energy = float(model.s_f @ model.s_f)
-        vals = lms_msd_trajectory(model, 0.5, 5, np.random.default_rng(1))
+        vals = lms_msd_trajectory(model, 0.5, 5, [np.random.default_rng(1)])[0]
         assert_allclose(vals[0], energy, rtol=1e-12)
-        vals = rls_msd_trajectory(model, 0.7, 5, np.random.default_rng(1))
+        vals = rls_msd_trajectory(model, 0.7, 5, [np.random.default_rng(1)])[0]
         assert_allclose(vals[0], energy, rtol=1e-12)
 
     def test_requires_at_least_one_iteration(self, setup10):
         with pytest.raises(ValueError):
             lms_msd_trajectory(setup10.model, 0.5, 0, np.random.default_rng(1))
+
+    # tiles of side 1, 4 and 7: nine runs leave a short last chunk of runs at
+    # 17 and 60, and 59 steps a short last block of steps at 60
+    @pytest.mark.parametrize("n_iter", [2, 17, 60])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
+    @pytest.mark.parametrize("trajectory, init, step, param", [
+        (lms_msd_trajectory, lms_init, lms_step, 0.5),
+        (rls_msd_trajectory, rls_init, rls_step, 0.7),
+    ], ids=["lms", "rls"])
+    def test_every_batched_run_matches_step_loop(self, setup10, trajectory, init, step, param,
+                                                 frozen, n_iter):
+        model = setup10.model
+        seeds = range(100, 109)
+        fast = trajectory(model, param, n_iter, [np.random.default_rng(s) for s in seeds],
+                          frozen_noise=frozen)
+        assert fast.shape == (len(seeds), n_iter)
+        for row, seed in zip(fast, seeds):
+            rng = np.random.default_rng(seed)
+            w = draw_noise(model.noise, rng)
+            state = init(model, param)
+            slow = [msd(model, state.s_hat)]
+            for _ in range(n_iter - 1):
+                state = step(state, model, w)
+                slow.append(msd(model, state.s_hat))
+                if not frozen:
+                    w = draw_noise(model.noise, rng)
+            assert_allclose(row, slow, rtol=1e-12)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
+    def test_run_does_not_depend_on_its_batch(self, setup10, frozen):
+        model = setup10.model
+
+        def curves(batch):
+            rngs = [run_rng(42, r) for r in range(50)]
+            return np.vstack([lms_msd_trajectory(model, 0.5, 60, rngs[i:i + batch],
+                                                 frozen_noise=frozen)
+                              for i in range(0, 50, batch)])
+
+        alone = curves(1)
+        for batch in (7, 50):
+            assert_allclose(curves(batch), alone, rtol=1e-12)
 
 
 class TestContraction:

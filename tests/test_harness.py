@@ -277,7 +277,9 @@ class TestCompare:
         assert np.isfinite(stats.exact_tail_z)
 
     def test_one_run_leaves_se_and_z_undefined(self):
-        stats = run_experiment(config(runs=1)).deviation
+        res = run_experiment(config(runs=1))
+        assert np.isnan(res.msd_se).all()
+        stats = res.deviation
         assert np.isnan(stats.tail_se_db)
         assert np.isnan(stats.exact_tail_z)
         assert np.isfinite(stats.exact_mean_abs_db)

@@ -1,12 +1,14 @@
-"""Package hygiene: no module imports a name it never uses, and every
-exported name resolves."""
+"""Package hygiene: no module imports a name it never uses, every exported
+name resolves, and no constructor freezes its caller's arrays."""
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import gspest
+from gspest.sampling import ErrorRecursion
 
 SRC = pathlib.Path(gspest.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -40,3 +42,37 @@ def test_every_exported_name_resolves():
     missing = [name for name in gspest.__all__ if not hasattr(gspest, name)]
     assert missing == []
     assert len(set(gspest.__all__)) == len(gspest.__all__)
+
+
+def _constructors(arr):
+    """Each frozen dataclass that stores arrays, built from arrays made by arr."""
+    band = gspest.BandBasis(f=1, u_f=np.array([[0.6], [0.8]]))
+    return {
+        "StationTable": lambda: gspest.StationTable(ids=("a", "b"), coords=arr([[0, 0], [1, 1]]),
+                                                    signal=arr([1, 2])),
+        "Graph": lambda: gspest.Graph(adjacency=arr([[0, 1], [1, 0]])),
+        "GftBasis": lambda: gspest.GftBasis(eigenvalues=arr([0, 2]), vectors=arr(np.eye(2))),
+        "BandBasis": lambda: gspest.BandBasis(f=1, u_f=arr([[0.6], [0.8]])),
+        "NoiseModel": lambda: gspest.NoiseModel(c_w=arr([0.25, 0.5]), n_a=0.0, n_b=0.0, seed=0),
+        "SignalModel": lambda: gspest.SignalModel(
+            band=band, s_f=arr([2.0]), x_o=arr([1.2, 1.6]),
+            sampling=gspest.SamplingSet(indices=(0,), n=2), noise=gspest.noiseless(2)),
+        "LmsState": lambda: gspest.LmsState(s_hat=arr([0.0]), mu=0.5, t=1),
+        "RlsState": lambda: gspest.RlsState(s_hat=arr([0.0]), lam=0.5, m_mat=arr([[1.0]]), t=1),
+        "TheoryCurve": lambda: gspest.TheoryCurve(algorithm="lms", mode="exact",
+                                                  values=arr([4.0, 1.0]), params={"mu": 0.5}),
+        "ErrorRecursion": lambda: ErrorRecursion(decay=arr([0.5]), step=0.5, response=arr([[1.0]]),
+                                                 delta0=arr([-2.0]), c_s=arr([0.25])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_constructors(np.asarray)))
+def test_constructor_leaves_caller_arrays_writeable(name):
+    given = []
+
+    def arr(values):
+        given.append(np.array(values, dtype=float))
+        return given[-1]
+
+    _constructors(arr)[name]()
+    assert given and all(a.flags.writeable for a in given)
