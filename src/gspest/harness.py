@@ -67,30 +67,38 @@ class ExperimentConfig:
 def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> None:
     """Raise ConfigError listing every problem with the configuration."""
     errors: list[str] = []
+
+    def integer(name: str, low: int) -> None:
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            errors.append(f"{name} must be a number, not a boolean ({value})")
+        elif not isinstance(value, int) or value < low:
+            errors.append(f"{name} must be an integer >= {low}, got {value!r}")
+
     if config.algorithm not in ("lms", "rls"):
         errors.append(f"algorithm must be 'lms' or 'rls', got {config.algorithm!r}")
-    if not isinstance(config.param, (int, float)) or not math.isfinite(config.param):
+    if isinstance(config.param, bool):
+        errors.append(f"param must be a number, not a boolean ({config.param})")
+    elif not isinstance(config.param, (int, float)) or not math.isfinite(config.param):
         errors.append(f"param must be a finite number, got {config.param!r}")
     elif config.algorithm == "rls" and not 0 < config.param <= 1:
         errors.append(f"forgetting factor must satisfy 0 < param <= 1, got {config.param}")
     elif config.algorithm == "lms" and config.param <= 0:
         errors.append(f"step size must be positive, got {config.param}")
     for name in ("k", "bandwidth", "sample_size", "iterations", "runs"):
-        value = getattr(config, name)
-        if not isinstance(value, int) or value < 1:
-            errors.append(f"{name} must be a positive integer, got {value!r}")
+        integer(name, 1)
     if isinstance(config.sample_size, int) and isinstance(config.bandwidth, int):
         if config.sample_size < config.bandwidth:
             errors.append(
                 f"sample_size ({config.sample_size}) must be at least bandwidth ({config.bandwidth})")
-    if not isinstance(config.master_seed, int) or config.master_seed < 0:
-        errors.append(f"master_seed must be a nonnegative integer, got {config.master_seed!r}")
-    if not isinstance(config.stations_seed, int) or config.stations_seed < 0:
-        errors.append(f"stations_seed must be a nonnegative integer, got {config.stations_seed!r}")
+    integer("master_seed", 0)
+    integer("stations_seed", 0)
+    if config.stations_csv is None:
+        integer("n_stations", 2)
     try:
         n_a, n_b = scenario_coefficients(config.scenario)
-        if n_a < 0 or n_b < 0:
-            errors.append("scenario coefficients must be nonnegative")
+        if not (math.isfinite(n_a) and math.isfinite(n_b)) or n_a < 0 or n_b < 0:
+            errors.append(f"scenario coefficients must be finite and nonnegative, got ({n_a}, {n_b})")
         elif n_a == 0 and n_b == 0 and config.algorithm == "rls":
             errors.append("zero-noise scenario is incompatible with rls (needs invertible covariance)")
     except (ValueError, TypeError) as exc:
@@ -99,8 +107,6 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
         errors.append(f"sampling_strategy must be 'greedy' or 'random', got {config.sampling_strategy!r}")
     if config.noise_protocol not in ("iid", "frozen"):
         errors.append(f"noise_protocol must be 'iid' or 'frozen', got {config.noise_protocol!r}")
-    if config.stations_csv is None and (not isinstance(config.n_stations, int) or config.n_stations < 2):
-        errors.append(f"n_stations must be an integer >= 2, got {config.n_stations!r}")
     if n_nodes is not None and isinstance(config.k, int) and isinstance(config.bandwidth, int):
         if config.k > n_nodes - 1:
             errors.append(f"k ({config.k}) must be at most n-1 ({n_nodes - 1})")

@@ -128,11 +128,7 @@ def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
     kwargs = dict(data)
     if isinstance(kwargs.get("scenario"), list):
         kwargs["scenario"] = tuple(kwargs["scenario"])
-    if isinstance(kwargs.get("param"), bool) or any(
-            isinstance(kwargs.get(k), bool) for k in ("k", "bandwidth", "sample_size",
-                                                      "iterations", "runs", "master_seed")):
-        raise ConfigError([f"{source}: boolean given where a number is required"])
-    if isinstance(kwargs.get("param"), int):
+    if type(kwargs.get("param")) is int:  # not bool, which validate_config rejects
         kwargs["param"] = float(kwargs["param"])
     try:
         config = ExperimentConfig(**kwargs)

@@ -18,7 +18,6 @@ RECOVERABILITY_TOL = 1e-8
 
 _MAX_ATTEMPTS = 100  # random draws before random_sampling gives up
 _GREEDY_MEMO_SIZE = 16  # greedy sets kept in process, oldest evicted first
-_RECURSION_MEMO_SIZE = 4  # error recursions kept per SampledOperator
 
 _BISECT_ITERS = 80
 _PRUNE_EVERY = 4  # halvings between pruning passes of the greedy scorer
@@ -27,14 +26,6 @@ _PRUNE_EVERY = 4  # halvings between pruning passes of the greedy scorer
 # reference grid asks for 2 sets over 24 rows, and every caller of
 # greedy_max_lambda_min gains without passing a cache around.
 _greedy_memo: dict[tuple, "SamplingSet"] = {}
-
-
-def _remember(memo: dict, key, value, size: int):
-    """Store value under key, evicting the oldest entries to keep at most size."""
-    while len(memo) >= size:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class ErrorRecursion:
     c_s: np.ndarray
 
     def __post_init__(self):
-        # read-only views: one recursion is shared by every run and curve of a row
+        # read-only views: one recursion is shared by every run of a trajectory call
         for name in ("decay", "response", "delta0", "c_s"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
@@ -108,8 +99,7 @@ class SampledOperator:
 
     c_w is the noise covariance diagonal over all nodes. recursion() hands
     out each estimator's error recursion, which is diagonal: LMS in the Gram
-    eigenbasis V, RLS in band coordinates. The last few recursions are kept,
-    so the runs and theory curves of one experiment build theirs once.
+    eigenbasis V, RLS in band coordinates.
     """
 
     def __init__(self, band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
@@ -125,7 +115,6 @@ class SampledOperator:
         self.lam, self.v = np.linalg.eigh(sampled_gram(band, sampling))
         self.lam_min = float(self.lam[0])
         self.mu_max = 2.0 / float(self.lam[-1])  # LMS is stable for 0 < mu < mu_max
-        self._recursions: dict[tuple, ErrorRecursion] = {}
 
     def require_recoverable(self) -> None:
         if self.lam_min <= RECOVERABILITY_TOL:
@@ -152,22 +141,16 @@ class SampledOperator:
 
         LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
         RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
-        Needs a recoverable set; mu is unrestricted, 0 < lam <= 1. Repeated
-        arguments return the same (read-only) recursion.
+        Needs a recoverable set; mu is any finite number, 0 < lam <= 1. Each
+        call builds a new recursion with read-only arrays.
         """
         s_f = np.asarray(s_f, dtype=float)
         if s_f.shape != (self.band.f,):
             raise ValueError(f"s_f shape {s_f.shape} != ({self.band.f},)")
-        key = (algorithm, float(param), s_f.tobytes())
-        rec = self._recursions.get(key)
-        if rec is None:
-            rec = _remember(self._recursions, key, self._recursion(algorithm, param, s_f),
-                            _RECURSION_MEMO_SIZE)
-        return rec
-
-    def _recursion(self, algorithm: str, param: float, s_f: np.ndarray) -> ErrorRecursion:
         self.require_recoverable()
         if algorithm == "lms":
+            if not np.isfinite(param):
+                raise ValueError("step size must be finite")
             return ErrorRecursion(decay=1.0 - param * self.lam, step=param,
                                   response=self.rows @ self.v, delta0=-(self.v.T @ s_f),
                                   c_s=self.c_s)
@@ -303,7 +286,10 @@ def greedy_max_lambda_min(band: BandBasis, m: int) -> SamplingSet:
     key = (hashlib.sha256(u.tobytes()).hexdigest(), u.shape, int(m))
     chosen = _greedy_memo.get(key)
     if chosen is None:
-        chosen = _remember(_greedy_memo, key, _greedy_select(band, m), _GREEDY_MEMO_SIZE)
+        chosen = _greedy_select(band, m)
+        while len(_greedy_memo) >= _GREEDY_MEMO_SIZE:  # evict the oldest first
+            del _greedy_memo[next(iter(_greedy_memo))]
+        _greedy_memo[key] = chosen
     return chosen
 
 

@@ -91,6 +91,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(config(bandwidth=20), n_nodes=10)
 
+    @pytest.mark.parametrize("scenario", [(np.nan, 0.0), (np.inf, 0.05), (0.05, np.nan)])
+    def test_non_finite_scenario_rejected(self, scenario):
+        with pytest.raises(ConfigError, match="scenario coefficients must be finite"):
+            validate_config(config(scenario=scenario))
+
+    @pytest.mark.parametrize("name", ["param", "k", "bandwidth", "sample_size", "iterations",
+                                      "runs", "master_seed", "stations_seed", "n_stations"])
+    def test_boolean_rejected_where_a_number_is_required(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a number, not a boolean"):
+            validate_config(config(**{name: True}))
+
+    def test_every_boolean_reported(self):
+        cfg = config(algorithm="rls", param=True, runs=True, k=True, master_seed=False)
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert len(err.value.errors) == 4
+        assert all("boolean" in e for e in err.value.errors)
+
     def test_rls_param_range(self):
         with pytest.raises(ConfigError):
             validate_config(config(algorithm="rls", param=1.5))
@@ -232,6 +250,28 @@ class TestRunExperiment:
         assert res.metadata["sampling_indices"] == list(setup10.model.sampling.indices)
         assert counts["eig"] == 1
         assert counts["solve"] <= 1
+
+
+class TestLayerEntryPoints:
+    # Per-layer timing wraps these module-level names of harness; a row that
+    # bypassed one would read 0 calls and 0 s, which is still a finite metric.
+    NAMES = ("lms_msd_trajectory", "rls_msd_trajectory", "lms_theory_paper",
+             "lms_theory_exact", "rls_theory_paper", "rls_theory_exact")
+
+    @pytest.mark.parametrize("algorithm, param", [("lms", 0.5), ("rls", 0.7)])
+    def test_each_name_called_once_per_row(self, monkeypatch, algorithm, param):
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        run_experiment(config(algorithm=algorithm, param=param))
+        assert calls == {name: int(name.startswith(algorithm)) for name in self.NAMES}
 
 
 class TestFrozenProtocol:

@@ -153,6 +153,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="boolean"):
             gio.parse_config({**SMALL_CONFIG, "runs": True})
 
+    def test_boolean_param_not_promoted_to_float(self):
+        with pytest.raises(ConfigError, match="param must be a number, not a boolean"):
+            gio.parse_config({**SMALL_CONFIG, "param": True})
+
     def test_integer_param_promoted_to_float(self):
         config = gio.parse_config({**SMALL_CONFIG, "algorithm": "lms", "param": 1})
         assert isinstance(config.param, float) and config.param == 1.0
@@ -540,6 +544,14 @@ class TestCliErrors:
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
         assert "runs" in capsys.readouterr().err
+
+    def test_non_finite_scenario_exits_2_before_building_the_graph(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, scenario=[math.nan, 0.0])
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert "scenario" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_workers_key_rejected(self, tmp_path, capsys):
         config_path = write_config(tmp_path, workers=1)

@@ -7,13 +7,14 @@ Agreement to near machine precision is the main correctness argument.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (
     BandBasis,
     ExperimentConfig,
     SampledOperator,
     TheoryCurve,
+    lms_msd_trajectory,
     lms_steady_state,
     lms_theory_exact,
     lms_theory_paper,
@@ -366,12 +367,22 @@ class TestErrorRecursion:
         with pytest.raises(ValueError, match="algorithm"):
             setup10.model.operator.recursion("nlms", 0.5, setup10.model.s_f)
 
-    def test_built_once_per_arguments_and_read_only(self, setup10):
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_step(self, setup10, mu):
+        model = setup10.model
+        with pytest.raises(ValueError, match="step size must be finite"):
+            lms_theory_exact(model.operator, model.s_f, mu, 5)
+        with pytest.raises(ValueError, match="step size must be finite"):
+            lms_msd_trajectory(model, mu, 5, [np.random.default_rng(0)])
+
+    def test_built_per_call_and_read_only(self, setup10):
         op, s_f = setup10.model.operator, setup10.model.s_f
         rec = op.recursion("rls", 0.7, s_f)
-        assert op.recursion("rls", 0.7, s_f.copy()) is rec
-        assert op.recursion("rls", 0.8, s_f) is not rec
-        assert op.recursion("lms", 0.7, s_f) is not rec
+        again = op.recursion("rls", 0.7, s_f.copy())
+        assert again is not rec
+        assert again.step == rec.step
+        for name in ("decay", "response", "delta0", "c_s"):
+            assert_array_equal(getattr(again, name), getattr(rec, name))
         for arr in (rec.decay, rec.response, rec.delta0, rec.c_s):
             assert not arr.flags.writeable
         assert op.c_s.flags.writeable  # the views leave the operator's arrays alone
