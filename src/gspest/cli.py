@@ -12,6 +12,7 @@ file.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -132,14 +133,16 @@ def cmd_compare(args) -> int:
         # a nan or -inf point in either curve makes the max and mean nan
         nonfinite = {"nan": int(np.sum(np.isnan(emp) | np.isnan(theory))),
                      "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory)))}
-        report["modes"][mode] = {"max_abs_db": max_abs, "mean_abs_db": mean_abs,
+        # strict JSON has no NaN token, so a non-finite deviation is written as null
+        report["modes"][mode] = {"max_abs_db": max_abs if math.isfinite(max_abs) else None,
+                                 "mean_abs_db": mean_abs if math.isfinite(mean_abs) else None,
                                  "n_nonfinite": nonfinite}
         print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
               f"max = {max_abs:.4f} dB over {t_count - start} iterations "
               f"({nonfinite['nan']} nan, {nonfinite['-inf']} -inf points)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(f"report: {args.json}")
     return 0

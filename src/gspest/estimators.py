@@ -163,26 +163,25 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     """Squared norm of the error delta <- decay * delta + w_S @ gain per step,
     for every run at once; returns shape (len(rngs), n_iter).
 
-    Run r draws only from rngs[r], n standard normals per step in step
-    order, exactly as per-step draw_noise calls would, so stepwise and
-    batched runs see identical noise whatever the batch. The sampled-node
-    selection and the sqrt(c_w) scaling fold into one (n, f) noise map, zero
-    off the sampling set, so a step's noise enters as z @ noise_map. With
-    frozen noise each run draws once and one (runs, f) term enters every
+    Only the m sampled nodes' noise enters an update, so run r draws only
+    from rngs[r], m standard normals per step in step order, one per sampled
+    node in ascending index order. Stepwise and batched runs therefore see
+    identical noise whatever the batch. The sqrt(c_s) scaling folds into one
+    (m, f) noise map, so a step's noise enters as z @ noise_map. With frozen
+    noise each run draws one block of m and one (runs, f) term enters every
     step. Otherwise runs and steps go in tiles of side x side, side =
-    isqrt(n_iter - 1): a tile holds at most the (n_iter - 1) * n draws of one
+    isqrt(n_iter - 1): a tile holds at most the (n_iter - 1) * m draws of one
     whole run, and takes one matrix product. The recursion's coordinates
     are orthonormal, so the squared norm is the MSD.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
-    n_runs, n = len(rngs), model.n
-    noise_map = np.zeros((n, model.f))
-    noise_map[list(model.sampling.indices)] = np.sqrt(rec.c_s)[:, None] * rec.gain
+    n_runs, m = len(rngs), len(rec.c_s)
+    noise_map = np.sqrt(rec.c_s)[:, None] * rec.gain
     vals = np.empty((n_runs, n_iter))
     vals[:, 0] = rec.delta0 @ rec.delta0
     if frozen_noise:
-        z = np.empty((n_runs, n))
+        z = np.empty((n_runs, m))
         for row, rng in zip(z, rngs):
             rng.standard_normal(out=row)
         inject = z @ noise_map
@@ -193,17 +192,17 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
         return vals
     side = max(1, math.isqrt(n_iter - 1))
     # one tile's draws and errors, reused by every tile
-    z_buf, e_buf = np.empty(side * side * n), np.empty(side * side * model.f)
+    z_buf, e_buf = np.empty(side * side * m), np.empty(side * side * model.f)
     for r0 in range(0, n_runs, side):
         chunk = rngs[r0:r0 + side]
         delta = rec.delta0
         for t0 in range(1, n_iter, side):
             steps = min(side, n_iter - t0)
             rows = len(chunk) * steps
-            z = z_buf[:rows * n].reshape(len(chunk), steps, n)
+            z = z_buf[:rows * m].reshape(len(chunk), steps, m)
             for block, rng in zip(z, chunk):
                 rng.standard_normal(out=block)
-            tile = np.matmul(z.reshape(rows, n), noise_map,
+            tile = np.matmul(z.reshape(rows, m), noise_map,
                              out=e_buf[:rows * model.f].reshape(rows, model.f))
             tile = tile.reshape(len(chunk), steps, model.f)
             for j in range(steps):  # the tile's injected noise becomes its errors

@@ -97,7 +97,11 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
         integer("n_stations", 2)
     try:
         n_a, n_b = scenario_coefficients(config.scenario)
-        if not (math.isfinite(n_a) and math.isfinite(n_b)) or n_a < 0 or n_b < 0:
+        if not isinstance(config.scenario, str) and any(isinstance(v, bool)
+                                                        for v in config.scenario):
+            errors.append(f"scenario coefficients must be numbers, not booleans, "
+                          f"got {config.scenario!r}")
+        elif not (math.isfinite(n_a) and math.isfinite(n_b)) or n_a < 0 or n_b < 0:
             errors.append(f"scenario coefficients must be finite and nonnegative, got ({n_a}, {n_b})")
         elif n_a == 0 and n_b == 0 and config.algorithm == "rls":
             errors.append("zero-noise scenario is incompatible with rls (needs invertible covariance)")

@@ -5,6 +5,11 @@ coefficients: a random part (n_a times the absolute value of a standard
 normal draw per node, kept nonnegative by construction) and a uniform part
 (n_b on every node). Individual noise vectors are then zero-mean Gaussian
 with that fixed diagonal covariance.
+
+The estimators see only the sampled nodes, so a simulated run draws its
+noise there alone: m standard normals per step, one per sampled node in
+ascending index order, scaled by sqrt(c_w) on those nodes (see
+estimators._msd_recursion). draw_noise draws every node.
 """
 
 from dataclasses import dataclass
@@ -84,5 +89,9 @@ def scenario_coefficients(scenario) -> tuple[float, float]:
 
 
 def draw_noise(model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One fresh noise vector w with E[w] = 0 and E[w w^T] = diag(c_w)."""
+    """One fresh noise vector w with E[w] = 0 and E[w w^T] = diag(c_w).
+
+    It draws n normals, one for every node, so it is not a simulated run's
+    stream, which draws only on the m sampled nodes.
+    """
     return np.sqrt(model.c_w) * rng.standard_normal(model.n)

@@ -1,12 +1,15 @@
 """LMS and RLS estimator updates, error tracking and run trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (
+    NoiseModel,
     SignalModel,
     draw_noise,
     error_signal,
@@ -20,6 +23,8 @@ from gspest import (
     rls_step,
 )
 from gspest.harness import _to_db, run_rng
+
+from conftest import sampled_noise
 
 # Noise-free ground truth for the two-node fixture. With step size 25/16 the
 # per-iteration error factor is 7/16 exactly, so MSD(t) = 4 * (7/16)^(2t-2).
@@ -176,7 +181,7 @@ class TestTrajectories:
         state = lms_init(model, mu)
         slow = [msd(model, state.s_hat)]
         for _ in range(n_iter - 1):
-            state = lms_step(state, model, draw_noise(model.noise, rng))
+            state = lms_step(state, model, sampled_noise(model, rng))
             slow.append(msd(model, state.s_hat))
         assert_allclose(fast, slow, rtol=1e-11)
 
@@ -188,7 +193,7 @@ class TestTrajectories:
         state = rls_init(model, lam)
         slow = [msd(model, state.s_hat)]
         for _ in range(n_iter - 1):
-            state = rls_step(state, model, draw_noise(model.noise, rng))
+            state = rls_step(state, model, sampled_noise(model, rng))
             slow.append(msd(model, state.s_hat))
         assert_allclose(fast, slow, rtol=1e-11)
 
@@ -200,7 +205,7 @@ class TestTrajectories:
         model = setup10.model
         fast = trajectory(model, param, 40, [np.random.default_rng(23)], frozen_noise=True)[0]
         rng = np.random.default_rng(23)
-        w = draw_noise(model.noise, rng)
+        w = sampled_noise(model, rng)
         state = init(model, param)
         slow = [msd(model, state.s_hat)]
         for _ in range(39):
@@ -237,14 +242,14 @@ class TestTrajectories:
         assert fast.shape == (len(seeds), n_iter)
         for row, seed in zip(fast, seeds):
             rng = np.random.default_rng(seed)
-            w = draw_noise(model.noise, rng)
+            w = sampled_noise(model, rng)
             state = init(model, param)
             slow = [msd(model, state.s_hat)]
             for _ in range(n_iter - 1):
                 state = step(state, model, w)
                 slow.append(msd(model, state.s_hat))
                 if not frozen:
-                    w = draw_noise(model.noise, rng)
+                    w = sampled_noise(model, rng)
             assert_allclose(row, slow, rtol=1e-12)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
@@ -260,6 +265,66 @@ class TestTrajectories:
         alone = curves(1)
         for batch in (7, 50):
             assert_allclose(curves(batch), alone, rtol=1e-12)
+
+
+TRAJECTORIES = pytest.mark.parametrize("trajectory, param", [
+    (lms_msd_trajectory, 0.5),
+    (rls_msd_trajectory, 0.7),
+], ids=["lms", "rls"])
+
+
+class TestNoiseStream:
+    """A run draws m normals per step, one per sampled node, and nothing for
+    the nodes its estimator never sees."""
+
+    @pytest.mark.parametrize("n_iter", [2, 17, 60])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
+    @TRAJECTORIES
+    def test_each_run_consumes_its_sampled_draws(self, setup10, trajectory, param,
+                                                 frozen, n_iter):
+        model = setup10.model
+        m = model.sampling.size
+        seeds = range(200, 209)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        trajectory(model, param, n_iter, rngs, frozen_noise=frozen)
+        used = m if frozen else (n_iter - 1) * m
+        for rng, seed in zip(rngs, seeds):
+            fresh = np.random.default_rng(seed)
+            fresh.standard_normal(used)
+            assert_array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
+    @TRAJECTORIES
+    def test_unsampled_variances_do_not_move_the_curves(self, setup10, trajectory, param,
+                                                        frozen):
+        model = setup10.model
+        mask = model.sampling.mask()
+        assert not mask.all()
+        c_w = np.where(mask, model.noise.c_w, 7.0 * model.noise.c_w + 3.0)
+        other = replace(model, noise=NoiseModel(c_w=c_w, n_a=0.0, n_b=0.0, seed=0))
+        assert not np.array_equal(other.noise.c_w, model.noise.c_w)
+
+        def per_run(m):
+            rngs = [run_rng(42, r) for r in range(9)]
+            return trajectory(m, param, 30, rngs, frozen_noise=frozen)
+
+        assert_array_equal(per_run(other), per_run(model))
+
+    @pytest.mark.parametrize("init, step, param", [
+        (lms_init, lms_step, 0.5),
+        (rls_init, rls_step, 0.7),
+    ], ids=["lms", "rls"])
+    def test_steps_ignore_off_sample_noise(self, setup10, init, step, param):
+        model = setup10.model
+        mask = model.sampling.mask()
+        rng = np.random.default_rng(31)
+        full = sampled = init(model, param)
+        for _ in range(10):
+            w = draw_noise(model.noise, rng)
+            assert np.any(w[~mask] != 0)
+            full = step(full, model, w)
+            sampled = step(sampled, model, np.where(mask, w, 0.0))
+            assert_array_equal(full.s_hat, sampled.s_hat)
 
 
 class TestContraction:

@@ -17,6 +17,8 @@ from gspest.harness import (
     validate_config,
 )
 
+from conftest import sampled_noise
+
 BASE = dict(
     algorithm="lms",
     param=0.5,
@@ -279,11 +281,11 @@ class TestFrozenProtocol:
         cfg = config(noise_protocol="frozen", runs=3, iterations=12)
         res = run_experiment(cfg)
         # replay run 0 by hand: same child stream, one reused draw
-        from gspest import draw_noise, lms_init, lms_step, msd
+        from gspest import lms_init, lms_step, msd
 
         exp = prepare_experiment(cfg)
         rng = run_rng(cfg.master_seed, 0)
-        w = draw_noise(exp.model.noise, rng)
+        w = sampled_noise(exp.model, rng)
         state = lms_init(exp.model, cfg.param)
         vals = [msd(exp.model, state.s_hat)]
         for _ in range(11):

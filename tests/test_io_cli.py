@@ -157,6 +157,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="param must be a number, not a boolean"):
             gio.parse_config({**SMALL_CONFIG, "param": True})
 
+    @pytest.mark.parametrize("scenario", [[True, 0], [0.05, False]])
+    def test_boolean_scenario_entry_rejected(self, scenario):
+        with pytest.raises(ConfigError, match="scenario coefficients must be numbers, not booleans"):
+            gio.parse_config({**SMALL_CONFIG, "scenario": scenario})
+
     def test_integer_param_promoted_to_float(self):
         config = gio.parse_config({**SMALL_CONFIG, "algorithm": "lms", "param": 1})
         assert isinstance(config.param, float) and config.param == 1.0
@@ -509,22 +514,37 @@ class TestCliCompare:
         assert set(report["modes"]) == {"paper", "exact"}
         assert report["modes"]["exact"]["max_abs_db"] >= report["modes"]["exact"]["mean_abs_db"]
 
-    def test_counts_nonfinite_tail_points(self, tmp_path, capsys):
-        # a negative literal value is written as nan; it still makes the
-        # paper max nan, and the report says how many points did so
+    @staticmethod
+    def compare_with_nan_in_tail(tmp_path) -> str:
+        """Compare a results CSV whose literal column has one nan tail point;
+        returns the text of the --json report."""
         path = tmp_path / "res.csv"
         rows = [f"{t},-{t}.5,-{t}.0,-{t}.25" for t in range(1, 9)]
         rows[6] = "7,-7.5,nan,-7.25"
         path.write_text(",".join(gio.RESULTS_HEADER) + "\n" + "\n".join(rows) + "\n")
         report_path = tmp_path / "report.json"
         assert main(["compare", str(path), "--burn-in", "0.5", "--json", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
+        return report_path.read_text()
+
+    def test_counts_nonfinite_tail_points(self, tmp_path, capsys):
+        # a negative literal value is written as nan; it still makes the
+        # paper max nan, and the report says how many points did so
+        report = json.loads(self.compare_with_nan_in_tail(tmp_path))
         assert report["modes"]["paper"]["n_nonfinite"] == {"nan": 1, "-inf": 0}
         assert report["modes"]["exact"]["n_nonfinite"] == {"nan": 0, "-inf": 0}
-        assert math.isnan(report["modes"]["paper"]["max_abs_db"])
+        assert report["modes"]["paper"]["max_abs_db"] is None
         assert report["modes"]["exact"]["max_abs_db"] == 0.25
         stdout = capsys.readouterr().out
         assert "(1 nan, 0 -inf points)" in stdout and "(0 nan, 0 -inf points)" in stdout
+
+    def test_nonfinite_deviation_written_as_strict_json_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(self.compare_with_nan_in_tail(tmp_path), parse_constant=reject)
+        paper, exact = report["modes"]["paper"], report["modes"]["exact"]
+        assert paper["max_abs_db"] is None and paper["mean_abs_db"] is None
+        assert exact["max_abs_db"] == 0.25 and exact["mean_abs_db"] == 0.25
 
     def test_bad_burn_in_exits_2(self, tmp_path, capsys):
         out = self.make_results(tmp_path)
@@ -552,6 +572,15 @@ class TestCliErrors:
         assert code == 2
         assert "scenario" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
+
+    def test_boolean_scenario_entry_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, scenario=[True, 0])
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario" in err and "boolean" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_workers_key_rejected(self, tmp_path, capsys):
         config_path = write_config(tmp_path, workers=1)
