@@ -13,9 +13,8 @@ from .estimators import (LmsState, RlsState, SignalModel, error_signal, lms_init
 from .graph import (BandBasis, GftBasis, Graph, StationTable, band_select,
                     build_knn_graph, gft_basis, haversine_km, laplacian,
                     project_bandlimited)
-from .harness import (ConfigError, DeviationStats, Experiment, ExperimentConfig,
-                      RunResult, compare, prepare_experiment, run_experiment,
-                      synthetic_stations)
+from .harness import (ConfigError, DeviationStats, ExperimentConfig, RunResult, compare,
+                      prepare_experiment, run_experiment, synthetic_stations)
 from .io import DataError
 from .noise import SCENARIOS, NoiseModel, build_cw, draw_noise, noiseless, scenario_coefficients
 from .sampling import (SampledOperator, SamplingSet, check_recoverability,
@@ -36,6 +35,6 @@ __all__ = [
     "lms_step", "msd", "rls_gain_matrix", "rls_init", "rls_msd_trajectory", "rls_step",
     "TheoryCurve", "lms_steady_state", "lms_theory_exact", "lms_theory_paper",
     "rls_steady_state", "rls_theory_exact", "rls_theory_paper", "solve_lms_lyapunov",
-    "ConfigError", "DataError", "DeviationStats", "Experiment", "ExperimentConfig",
+    "ConfigError", "DataError", "DeviationStats", "ExperimentConfig",
     "RunResult", "compare", "prepare_experiment", "run_experiment", "synthetic_stations",
 ]

@@ -37,8 +37,6 @@ def _resolve_stations(config, stations_flag):
 
 
 def _cached_basis(cache_dir, stations, k):
-    if cache_dir is None:
-        return None
     basis = gio.load_graph_cache(cache_dir, stations, k)
     if basis is None:
         basis = gft_basis(laplacian(build_knn_graph(stations, k)))
@@ -111,7 +109,7 @@ def cmd_run(args) -> int:
 
 def cmd_theory(args) -> int:
     config, stations, basis = _inputs(args, args.out)
-    paper, exact = theory_curves(prepare_experiment(config, stations, basis))
+    paper, exact = theory_curves(config, prepare_experiment(config, stations, basis))
     t = np.arange(1, config.iterations + 1)
     gio.write_theory_csv(args.out, t, _to_db(paper.values), _to_db(exact.values))
     print(f"wrote {args.out} ({config.iterations} iterations, no simulation)")

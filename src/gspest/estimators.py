@@ -28,27 +28,19 @@ class SignalModel:
 
     band: BandBasis
     s_f: np.ndarray  # true band coefficients, shape (f,)
-    x_o: np.ndarray  # true bandlimited node signal, shape (n,)
     sampling: SamplingSet
     noise: NoiseModel
 
     def __post_init__(self):
         s_f = _frozen_array(self.s_f)
-        x_o = _frozen_array(self.x_o)
         object.__setattr__(self, "s_f", s_f)
-        object.__setattr__(self, "x_o", x_o)
         n, f = self.band.n, self.band.f
         if s_f.shape != (f,):
             raise ValueError(f"s_f shape {s_f.shape} != ({f},)")
-        if x_o.shape != (n,):
-            raise ValueError(f"x_o shape {x_o.shape} != ({n},)")
         if self.sampling.n != n:
             raise ValueError("sampling set node count does not match basis")
         if self.noise.n != n:
             raise ValueError("noise model node count does not match basis")
-        resid = np.max(np.abs(self.band.u_f @ s_f - x_o))
-        if resid > 1e-10 * (1.0 + float(np.max(np.abs(x_o)))):
-            raise ValueError("x_o must be the band reconstruction of s_f")
 
     @property
     def n(self) -> int:
@@ -57,6 +49,11 @@ class SignalModel:
     @property
     def f(self) -> int:
         return self.band.f
+
+    @cached_property
+    def x_o(self) -> np.ndarray:
+        """True bandlimited node signal u_f @ s_f, shape (n,), read-only."""
+        return _frozen_array(self.band.u_f @ self.s_f)
 
     @cached_property
     def operator(self) -> SampledOperator:

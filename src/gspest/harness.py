@@ -95,18 +95,13 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
     integer("stations_seed", 0)
     if config.stations_csv is None:
         integer("n_stations", 2)
+    elif not isinstance(config.stations_csv, str) or not config.stations_csv:
+        errors.append(f"stations_csv must be a non-empty path or null, got {config.stations_csv!r}")
     try:
-        n_a, n_b = scenario_coefficients(config.scenario)
-        if not isinstance(config.scenario, str) and any(isinstance(v, bool)
-                                                        for v in config.scenario):
-            errors.append(f"scenario coefficients must be numbers, not booleans, "
-                          f"got {config.scenario!r}")
-        elif not (math.isfinite(n_a) and math.isfinite(n_b)) or n_a < 0 or n_b < 0:
-            errors.append(f"scenario coefficients must be finite and nonnegative, got ({n_a}, {n_b})")
-        elif n_a == 0 and n_b == 0 and config.algorithm == "rls":
+        if config.scenario_pair() == (0.0, 0.0) and config.algorithm == "rls":
             errors.append("zero-noise scenario is incompatible with rls (needs invertible covariance)")
-    except (ValueError, TypeError) as exc:
-        errors.append(f"scenario: {exc}")
+    except ValueError as exc:
+        errors.append(str(exc))
     if config.sampling_strategy not in ("greedy", "random"):
         errors.append(f"sampling_strategy must be 'greedy' or 'random', got {config.sampling_strategy!r}")
     if config.noise_protocol not in ("iid", "frozen"):
@@ -162,18 +157,8 @@ def synthetic_stations(n: int, seed: int) -> StationTable:
     return StationTable(ids=ids, coords=np.column_stack([lat, lon]), signal=signal)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """Deterministic part of a run: everything except the noise draws."""
-
-    config: ExperimentConfig
-    stations: StationTable
-    n_edges: int
-    model: SignalModel
-
-
 def prepare_experiment(config: ExperimentConfig, stations: StationTable | None = None,
-                       basis=None) -> Experiment:
+                       basis=None) -> SignalModel:
     """Build graph, band, sampling set, noise law and target signal.
 
     ``stations`` defaults to the synthetic table; ``basis`` may carry a
@@ -200,23 +185,21 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         noise = noiseless(stations.n)
     else:
         noise = build_cw(n_a, n_b, stations.n, covariance_seed(config.master_seed))
-    s_f, x_o = project_bandlimited(band, stations.signal)
-    model = SignalModel(band=band, s_f=s_f, x_o=x_o, sampling=sampling, noise=noise)
+    s_f, _ = project_bandlimited(band, stations.signal)
+    model = SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)
     model.operator.require_recoverable()
-    # trace L = 2|E| for an unweighted graph
-    n_edges = int(round(float(np.sum(basis.eigenvalues)) / 2))
-    return Experiment(config=config, stations=stations, n_edges=n_edges, model=model)
+    return model
 
 
-def theory_curves(exp: Experiment) -> tuple[TheoryCurve, TheoryCurve]:
+def theory_curves(config: ExperimentConfig,
+                  model: SignalModel) -> tuple[TheoryCurve, TheoryCurve]:
     """The literal ("paper") and exact theory curves of the experiment."""
-    cfg, model = exp.config, exp.model
-    if cfg.algorithm == "lms":
+    if config.algorithm == "lms":
         paper, exact = lms_theory_paper, lms_theory_exact
     else:
         paper, exact = rls_theory_paper, rls_theory_exact
-    return (paper(model.operator, model.s_f, cfg.param, cfg.iterations),
-            exact(model.operator, model.s_f, cfg.param, cfg.iterations))
+    return (paper(model.operator, model.s_f, config.param, config.iterations),
+            exact(model.operator, model.s_f, config.param, config.iterations))
 
 
 @dataclass(frozen=True)
@@ -328,16 +311,15 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     ascending index order.
     """
     started = time.perf_counter()
-    exp = prepare_experiment(config, stations, basis)
+    model = prepare_experiment(config, stations, basis)
     prepared = time.perf_counter()
-    model, cfg = exp.model, exp.config
-    t_count, n_runs = cfg.iterations, cfg.runs
-    frozen = cfg.noise_protocol == "frozen"
-    theory_paper, theory_exact = theory_curves(exp)
+    t_count, n_runs = config.iterations, config.runs
+    frozen = config.noise_protocol == "frozen"
+    theory_paper, theory_exact = theory_curves(config, model)
     predicted = time.perf_counter()
-    trajectory = lms_msd_trajectory if cfg.algorithm == "lms" else rls_msd_trajectory
-    per_run = trajectory(model, cfg.param, t_count,
-                         [run_rng(cfg.master_seed, r) for r in range(n_runs)],
+    trajectory = lms_msd_trajectory if config.algorithm == "lms" else rls_msd_trajectory
+    per_run = trajectory(model, config.param, t_count,
+                         [run_rng(config.master_seed, r) for r in range(n_runs)],
                          frozen_noise=frozen)
     msd_mean = per_run.mean(axis=0)
     if n_runs > 1:
@@ -346,34 +328,29 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         msd_se = np.full(t_count, np.nan)
     simulated = time.perf_counter()
     metadata = {
-        "scenario": cfg.scenario if isinstance(cfg.scenario, str) else list(cfg.scenario_pair()),
-        "scenario_coefficients": list(cfg.scenario_pair()),
         "sampling_indices": list(model.sampling.indices),
         "lambda_min": model.operator.lam_min,
-        "n_stations": exp.stations.n,
-        "n_edges": exp.n_edges,
-        "signal_energy": float(model.s_f @ model.s_f),
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
     }
-    metadata.update(_limit_diagnostics(model.operator.recursion(cfg.algorithm, cfg.param,
+    metadata.update(_limit_diagnostics(model.operator.recursion(config.algorithm, config.param,
                                                                 model.s_f)))
-    if cfg.algorithm == "lms":
+    if config.algorithm == "lms":
         mu_max = model.operator.mu_max
         metadata["mu_max"] = mu_max
-        metadata["stable"] = bool(cfg.param < mu_max)
-        if cfg.param >= mu_max:
+        metadata["stable"] = bool(config.param < mu_max)
+        if config.param >= mu_max:
             # Divergence studies are legitimate, so an unstable step is
             # flagged rather than rejected.
             warnings.warn(
-                f"step size {cfg.param} is at or above the stability limit "
+                f"step size {config.param} is at or above the stability limit "
                 f"{mu_max:.6g}; the mean trajectory will diverge",
                 RuntimeWarning,
                 stacklevel=2,
             )
     result = RunResult(
-        config=cfg,
+        config=config,
         t=np.arange(1, t_count + 1),
         msd_mean=msd_mean,
         msd_mean_db=_to_db(msd_mean),

@@ -12,6 +12,8 @@ ascending index order, scaled by sqrt(c_w) on those nodes (see
 estimators._msd_recursion). draw_noise draws every node.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +30,9 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Diagonal noise covariance c_w plus the recipe that produced it."""
+    """Diagonal noise covariance c_w."""
 
     c_w: np.ndarray
-    n_a: float
-    n_b: float
-    seed: int
 
     def __post_init__(self):
         c_w = _frozen_array(self.c_w)
@@ -67,24 +66,31 @@ def build_cw(n_a: float, n_b: float, n: int, seed: int) -> NoiseModel:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n)
     c_w = n_a * np.abs(a) + n_b * np.ones(n)
-    return NoiseModel(c_w=c_w, n_a=float(n_a), n_b=float(n_b), seed=int(seed))
+    return NoiseModel(c_w=c_w)
 
 
 def noiseless(n: int) -> NoiseModel:
     """All-zero covariance for deterministic (noise-free) runs."""
-    return NoiseModel(c_w=np.zeros(n), n_a=0.0, n_b=0.0, seed=0)
+    return NoiseModel(c_w=np.zeros(n))
 
 
 def scenario_coefficients(scenario) -> tuple[float, float]:
-    """Resolve a named profile ('i', 'ii', 'iii') or an explicit (n_a, n_b) pair."""
+    """Resolve a named profile ('i', 'ii', 'iii') or an explicit (n_a, n_b)
+    list or tuple of two finite nonnegative real numbers."""
     if isinstance(scenario, str):
         key = scenario.strip().lower()
         if key not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
         return SCENARIOS[key]
+    if not isinstance(scenario, (list, tuple)) or len(scenario) != 2:
+        raise ValueError(f"scenario must be a name or a pair (n_a, n_b), got {scenario!r}")
+    if any(isinstance(v, bool) for v in scenario):
+        raise ValueError(f"scenario coefficients must be numbers, not booleans, got {scenario!r}")
+    if not all(isinstance(v, numbers.Real) for v in scenario):
+        raise ValueError(f"scenario coefficients must be real numbers, got {scenario!r}")
     pair = tuple(float(v) for v in scenario)
-    if len(pair) != 2:
-        raise ValueError("scenario pair must have exactly two entries")
+    if not all(math.isfinite(v) and v >= 0 for v in pair):
+        raise ValueError(f"scenario coefficients must be finite and nonnegative, got {pair}")
     return pair
 
 

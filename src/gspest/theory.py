@@ -27,23 +27,17 @@ from .sampling import (RECOVERABILITY_TOL, ErrorRecursion, SampledOperator, Samp
                        sampled_gram)
 
 _MODES = ("paper", "exact")
-_PARAM_NAMES = {"lms": "mu", "rls": "lam"}
 
 
 @dataclass(frozen=True)
 class TheoryCurve:
     """Predicted MSD per iteration (linear units, t starts at 1)."""
 
-    algorithm: str
     mode: str
     values: np.ndarray
-    params: dict
 
     def __post_init__(self):
-        if self.algorithm not in _PARAM_NAMES:
-            raise ValueError(f"algorithm must be one of {tuple(_PARAM_NAMES)}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        _check_mode(self.mode)
         values = _frozen_array(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
@@ -107,8 +101,7 @@ def _curve(op: SampledOperator, algorithm: str, mode: str, s_f: np.ndarray,
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     rec = op.recursion(algorithm, param, s_f)
-    return TheoryCurve(algorithm=algorithm, mode=mode, values=_transient(rec, mode, t_max),
-                       params={_PARAM_NAMES[algorithm]: float(param)})
+    return TheoryCurve(mode=mode, values=_transient(rec, mode, t_max))
 
 
 def lms_theory_paper(op: SampledOperator, s_f: np.ndarray, mu: float,

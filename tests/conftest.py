@@ -65,8 +65,7 @@ def hand_model():
     band = BandBasis(f=1, u_f=np.array([[0.6], [0.8]]))
     sampling = SamplingSet(indices=(0,), n=2)
     s_f = np.array([2.0])
-    return SignalModel(band=band, s_f=s_f, x_o=band.u_f @ s_f,
-                       sampling=sampling, noise=noiseless(2))
+    return SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noiseless(2))
 
 
 @pytest.fixture()
@@ -75,6 +74,5 @@ def hand_model_noisy():
     band = BandBasis(f=1, u_f=np.array([[0.6], [0.8]]))
     sampling = SamplingSet(indices=(0,), n=2)
     s_f = np.array([2.0])
-    noise = NoiseModel(c_w=np.array([0.25, 0.5]), n_a=0.0, n_b=0.0, seed=0)
-    return SignalModel(band=band, s_f=s_f, x_o=band.u_f @ s_f,
-                       sampling=sampling, noise=noise)
+    noise = NoiseModel(c_w=np.array([0.25, 0.5]))
+    return SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)

@@ -78,8 +78,7 @@ def random_instance(seed, n=20, f=8, m=12):
     sampling = random_sampling(band, m, seed)
     s_f = rng.standard_normal(f)
     noise = build_cw(0.05, 0.05, n, seed)
-    model = SignalModel(band=band, s_f=s_f, x_o=band.u_f @ s_f,
-                        sampling=sampling, noise=noise)
+    model = SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)
     w = draw_noise(noise, rng)
     mu = float(rng.uniform(0.2, 1.8))
     lam = float(rng.uniform(0.5, 0.95))
@@ -292,8 +291,7 @@ class TestAcceptance:
             algorithm="lms", param=0.5, k=8, bandwidth=200,
             sample_size=FULL_SAMPLE_SIZE, scenario="iii", iterations=2,
             runs=1, master_seed=MASTER_SEED, n_stations=299)
-        exp = prepare_experiment(config, stations299, bases299[8])
-        model = exp.model
+        model = prepare_experiment(config, stations299, bases299[8])
         energy = float(model.s_f @ model.s_f)
         op = SampledOperator(model.band, model.sampling, model.noise.c_w)
         mu_max = op.mu_max
@@ -319,7 +317,7 @@ class TestAcceptance:
         no_step = lms_theory_exact(op, model.s_f, 0.0, 300).values
         assert_allclose(no_step, energy, rtol=1e-12)
 
-        quiet = SignalModel(band=model.band, s_f=model.s_f, x_o=model.x_o,
+        quiet = SignalModel(band=model.band, s_f=model.s_f,
                             sampling=model.sampling, noise=noiseless(model.band.n))
         zeros = np.zeros(model.band.n)
         theory = lms_theory_paper(SampledOperator(model.band, model.sampling, zeros),

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (ConfigError, ExperimentConfig, build_knn_graph, compare, gft_basis,
-                    laplacian, prepare_experiment, run_experiment)
+                    laplacian, prepare_experiment, project_bandlimited, run_experiment)
 from gspest import harness
 from gspest.harness import (
     covariance_seed,
@@ -133,25 +133,31 @@ class TestSeedScheme:
         assert np.any(a != c)
 
     def test_master_seed_changes_covariance(self):
-        one = prepare_experiment(config(master_seed=1)).model.noise.c_w
-        two = prepare_experiment(config(master_seed=2)).model.noise.c_w
+        one = prepare_experiment(config(master_seed=1)).noise.c_w
+        two = prepare_experiment(config(master_seed=2)).noise.c_w
         assert np.any(one != two)
 
 
 class TestPrepareExperiment:
     def test_pipeline_shapes(self, setup10):
-        assert setup10.stations.n == 10
-        assert setup10.model.band.f == 4
-        assert setup10.model.sampling.size == 6
-        assert setup10.model.s_f.shape == (4,)
+        assert setup10.n == 10
+        assert setup10.band.f == 4
+        assert setup10.sampling.size == 6
+        assert setup10.s_f.shape == (4,)
+
+    def test_target_signal_is_derived_and_read_only(self, setup10, stations10):
+        assert_array_equal(setup10.x_o, project_bandlimited(setup10.band, stations10.signal)[1])
+        assert not setup10.x_o.flags.writeable
+        with pytest.raises(AttributeError):
+            setup10.x_o = np.zeros(setup10.n)
 
     def test_zero_noise_scenario_uses_zero_covariance(self):
-        exp = prepare_experiment(config(scenario=(0.0, 0.0)))
-        assert exp.model.noise.is_zero
+        model = prepare_experiment(config(scenario=(0.0, 0.0)))
+        assert model.noise.is_zero
 
     def test_random_strategy(self):
-        exp = prepare_experiment(config(sampling_strategy="random"))
-        assert exp.model.sampling.size == 6
+        model = prepare_experiment(config(sampling_strategy="random"))
+        assert model.sampling.size == 6
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -159,8 +165,9 @@ class TestPrepareExperiment:
 
     def test_stations_override(self):
         st = synthetic_stations(12, 77)
-        exp = prepare_experiment(config(n_stations=12), stations=st)
-        assert exp.stations is st
+        model = prepare_experiment(config(n_stations=12), stations=st)
+        assert model.n == 12
+        assert_array_equal(model.s_f, project_bandlimited(model.band, st.signal)[0])
 
 
 class TestRunExperiment:
@@ -192,19 +199,19 @@ class TestRunExperiment:
 
     def test_first_iteration_is_deterministic(self):
         res = run_experiment(config())
-        energy = float(res.metadata["signal_energy"])
+        s_f = prepare_experiment(config()).s_f
+        energy = float(s_f @ s_f)
         assert_allclose(res.msd_mean[0], energy, rtol=1e-12)
         assert res.msd_se[0] < 1e-9 * energy
 
     def test_metadata_contents(self, setup10):
         res = run_experiment(config())
         md = res.metadata
-        assert md["sampling_indices"] == list(setup10.model.sampling.indices)
+        assert md["sampling_indices"] == list(setup10.sampling.indices)
         assert md["lambda_min"] > 1e-8
         assert md["mu_max"] > 0
         assert md["stable"] is True
         assert len(md["cw_digest"]) == 64
-        assert md["n_edges"] >= 1
 
     def test_unstable_step_flagged_but_runs(self):
         probe = run_experiment(config(iterations=5))
@@ -234,7 +241,7 @@ class TestRunExperiment:
         # the sampled Gram is eigendecomposed once and the RLS gain solved
         # once per experiment, not once per run
         basis = gft_basis(laplacian(build_knn_graph(stations10, BASE["k"])))
-        monkeypatch.setattr(harness, "greedy_max_lambda_min", lambda band, m: setup10.model.sampling)
+        monkeypatch.setattr(harness, "greedy_max_lambda_min", lambda band, m: setup10.sampling)
         counts = {"eig": 0, "solve": 0}
 
         def count(name, kind):
@@ -249,7 +256,7 @@ class TestRunExperiment:
                            ("inv", "solve")):
             count(name, kind)
         res = run_experiment(config(algorithm=algorithm, param=param, runs=8), basis=basis)
-        assert res.metadata["sampling_indices"] == list(setup10.model.sampling.indices)
+        assert res.metadata["sampling_indices"] == list(setup10.sampling.indices)
         assert counts["eig"] == 1
         assert counts["solve"] <= 1
 
@@ -283,14 +290,14 @@ class TestFrozenProtocol:
         # replay run 0 by hand: same child stream, one reused draw
         from gspest import lms_init, lms_step, msd
 
-        exp = prepare_experiment(cfg)
+        model = prepare_experiment(cfg)
         rng = run_rng(cfg.master_seed, 0)
-        w = sampled_noise(exp.model, rng)
-        state = lms_init(exp.model, cfg.param)
-        vals = [msd(exp.model, state.s_hat)]
+        w = sampled_noise(model, rng)
+        state = lms_init(model, cfg.param)
+        vals = [msd(model, state.s_hat)]
         for _ in range(11):
-            state = lms_step(state, exp.model, w)
-            vals.append(msd(exp.model, state.s_hat))
+            state = lms_step(state, model, w)
+            vals.append(msd(model, state.s_hat))
         assert_allclose(res.per_run[0], vals, rtol=1e-11)
 
     def test_frozen_tail_approaches_literal_curve(self):

@@ -162,6 +162,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scenario coefficients must be numbers, not booleans"):
             gio.parse_config({**SMALL_CONFIG, "scenario": scenario})
 
+    @pytest.mark.parametrize("scenario", [["0.05", "1e-2"], ["iii", 0.05], {"0.05": 1, "0.01": 2},
+                                          [0.05], [0.05, 0.05, 0.05]])
+    def test_scenario_pair_must_be_two_numbers(self, scenario):
+        with pytest.raises(ConfigError, match="scenario"):
+            gio.parse_config({**SMALL_CONFIG, "scenario": scenario})
+
+    @pytest.mark.parametrize("value", [0, True, "", 1.5, ["stations.csv"]])
+    def test_stations_csv_must_be_a_path(self, value):
+        with pytest.raises(ConfigError, match="stations_csv"):
+            gio.parse_config({**SMALL_CONFIG, "stations_csv": value})
+
     def test_integer_param_promoted_to_float(self):
         config = gio.parse_config({**SMALL_CONFIG, "algorithm": "lms", "param": 1})
         assert isinstance(config.param, float) and config.param == 1.0
@@ -272,6 +283,15 @@ class TestManifest:
         gio.write_manifest(path, manifest)
         json.loads(path.read_text(), parse_constant=pytest.fail)
 
+    def test_every_metadata_key_is_recorded(self):
+        config = small_config(iterations=15, runs=2)
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        result = run_experiment(config, stations)
+        manifest = gio.build_manifest(result, stations, 0.0)
+        written_as = {"cw_digest": "covariance_digest"}
+        for key, value in result.metadata.items():
+            assert manifest[written_as.get(key, key)] == value, key
+
     def test_rls_records_predicted_gap(self):
         lam = 0.7
         config = small_config(algorithm="rls", param=lam, iterations=15, runs=2)
@@ -288,7 +308,7 @@ class TestManifest:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
         result = run_experiment(config, stations)
         manifest = gio.build_manifest(result, stations, 0.0)
-        op = prepare_experiment(config, stations).model.operator
+        op = prepare_experiment(config, stations).operator
         assert manifest["mu_max"] == op.mu_max and manifest["stable"] is True
         assert manifest["spectral_radius"] == float(np.max(np.abs(1 - config.param * op.lam)))
         assert manifest["steady_state"] == {
@@ -581,6 +601,36 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "scenario" in err and "boolean" in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_string_scenario_pair_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, scenario=["0.05", "1e-2"])
+        code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        assert "scenario" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, True])
+    def test_stations_csv_not_a_path_exits_2(self, tmp_path, capsys, value):
+        # open() takes 0 and True as file descriptors: stdin and stdout
+        config_path = write_config(tmp_path, stations_csv=value)
+        header = b"id,lat,lon,value\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, header)
+        os.close(write_end)
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            code = main(["run", config_path, "--out", str(tmp_path / "o.csv"),
+                         "--cache-dir", str(tmp_path / "cache")])
+            left = os.read(0, 64)
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+            os.close(read_end)
+        assert code == 2
+        assert "stations_csv" in capsys.readouterr().err
+        assert left == header
 
     def test_workers_key_rejected(self, tmp_path, capsys):
         config_path = write_config(tmp_path, workers=1)

@@ -33,6 +33,15 @@ def test_scenario_coefficients_rejects_junk():
         scenario_coefficients((0.1, 0.2, 0.3))
 
 
+@pytest.mark.parametrize("scenario", [
+    ("0.05", "1e-2"), ("a", 0.0), {"0.05": 1, "0.01": 2}, (0.1,), np.array([0.1, 0.2]),
+    (True, 0.0), (0.05, -0.01), (np.nan, 0.0), (0.05, np.inf),
+])
+def test_scenario_coefficients_accepts_only_two_finite_nonnegative_numbers(scenario):
+    with pytest.raises(ValueError, match="scenario"):
+        scenario_coefficients(scenario)
+
+
 class TestBuildCw:
     def test_uniform_part_only(self):
         model = build_cw(0.0, 0.25, 6, seed=1)
@@ -93,7 +102,7 @@ def test_noise_model_immutable():
 
 def test_noise_model_rejects_negative_variance():
     with pytest.raises(ValueError):
-        NoiseModel(c_w=np.array([0.1, -0.2]), n_a=0.0, n_b=0.0, seed=0)
+        NoiseModel(c_w=np.array([0.1, -0.2]))
 
 
 class TestDrawNoise:

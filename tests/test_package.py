@@ -53,14 +53,13 @@ def _constructors(arr):
         "Graph": lambda: gspest.Graph(adjacency=arr([[0, 1], [1, 0]])),
         "GftBasis": lambda: gspest.GftBasis(eigenvalues=arr([0, 2]), vectors=arr(np.eye(2))),
         "BandBasis": lambda: gspest.BandBasis(f=1, u_f=arr([[0.6], [0.8]])),
-        "NoiseModel": lambda: gspest.NoiseModel(c_w=arr([0.25, 0.5]), n_a=0.0, n_b=0.0, seed=0),
+        "NoiseModel": lambda: gspest.NoiseModel(c_w=arr([0.25, 0.5])),
         "SignalModel": lambda: gspest.SignalModel(
-            band=band, s_f=arr([2.0]), x_o=arr([1.2, 1.6]),
+            band=band, s_f=arr([2.0]),
             sampling=gspest.SamplingSet(indices=(0,), n=2), noise=gspest.noiseless(2)),
         "LmsState": lambda: gspest.LmsState(s_hat=arr([0.0]), mu=0.5, t=1),
         "RlsState": lambda: gspest.RlsState(s_hat=arr([0.0]), lam=0.5, m_mat=arr([[1.0]]), t=1),
-        "TheoryCurve": lambda: gspest.TheoryCurve(algorithm="lms", mode="exact",
-                                                  values=arr([4.0, 1.0]), params={"mu": 0.5}),
+        "TheoryCurve": lambda: gspest.TheoryCurve(mode="exact", values=arr([4.0, 1.0])),
         "ErrorRecursion": lambda: ErrorRecursion(decay=arr([0.5]), step=0.5, response=arr([[1.0]]),
                                                  delta0=arr([-2.0]), c_s=arr([0.25])),
     }

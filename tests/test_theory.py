@@ -28,8 +28,7 @@ from gspest import (
 from gspest.sampling import SamplingSet, sampled_gram
 
 
-def model_parts(setup):
-    m = setup.model
+def model_parts(m):
     return m.band, m.sampling, m.s_f, m.noise.c_w
 
 
@@ -115,11 +114,9 @@ class TestCurveStart:
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            TheoryCurve(algorithm="lms", mode="nope", values=np.ones(3), params={})
+            TheoryCurve(mode="nope", values=np.ones(3))
         with pytest.raises(ValueError):
-            TheoryCurve(algorithm="gd", mode="paper", values=np.ones(3), params={})
-        with pytest.raises(ValueError):
-            TheoryCurve(algorithm="lms", mode="paper", values=np.empty(0), params={})
+            TheoryCurve(mode="paper", values=np.empty(0))
 
 
 class TestLmsCurves:
@@ -352,7 +349,7 @@ class TestFullScale:
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_case1_curves_match_matrix_evaluation(self, case1, fast, slow, param):
         band, sampling, s_f, c_w = model_parts(case1)
-        got = fast(case1.model.operator, s_f, param, 60).values
+        got = fast(case1.operator, s_f, param, 60).values
         want = slow(band, sampling, s_f, c_w, param, 60)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -361,22 +358,22 @@ class TestErrorRecursion:
     @pytest.mark.parametrize("lam", [0.0, 1.5])
     def test_rejects_forgetting_factor_outside_unit_interval(self, setup10, lam):
         with pytest.raises(ValueError, match="forgetting factor"):
-            setup10.model.operator.recursion("rls", lam, setup10.model.s_f)
+            setup10.operator.recursion("rls", lam, setup10.s_f)
 
     def test_rejects_unknown_algorithm(self, setup10):
         with pytest.raises(ValueError, match="algorithm"):
-            setup10.model.operator.recursion("nlms", 0.5, setup10.model.s_f)
+            setup10.operator.recursion("nlms", 0.5, setup10.s_f)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_step(self, setup10, mu):
-        model = setup10.model
+        model = setup10
         with pytest.raises(ValueError, match="step size must be finite"):
             lms_theory_exact(model.operator, model.s_f, mu, 5)
         with pytest.raises(ValueError, match="step size must be finite"):
             lms_msd_trajectory(model, mu, 5, [np.random.default_rng(0)])
 
     def test_built_per_call_and_read_only(self, setup10):
-        op, s_f = setup10.model.operator, setup10.model.s_f
+        op, s_f = setup10.operator, setup10.s_f
         rec = op.recursion("rls", 0.7, s_f)
         again = op.recursion("rls", 0.7, s_f.copy())
         assert again is not rec
