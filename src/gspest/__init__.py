@@ -17,8 +17,8 @@ from .harness import (ConfigError, DeviationStats, ExperimentConfig, RunResult, 
                       prepare_experiment, run_experiment, synthetic_stations)
 from .io import DataError
 from .noise import SCENARIOS, NoiseModel, build_cw, draw_noise, noiseless, scenario_coefficients
-from .sampling import (SampledOperator, SamplingSet, check_recoverability,
-                       greedy_max_lambda_min, random_sampling, sampled_gram)
+from .sampling import (SamplingSet, check_recoverability, greedy_max_lambda_min,
+                       random_sampling, sampled_gram)
 from .theory import (TheoryCurve, lms_steady_state, lms_theory_exact, lms_theory_paper,
                      rls_steady_state, rls_theory_exact, rls_theory_paper,
                      solve_lms_lyapunov)
@@ -28,7 +28,7 @@ __all__ = [
     "BandBasis", "GftBasis", "Graph", "StationTable",
     "band_select", "build_knn_graph", "gft_basis", "haversine_km", "laplacian",
     "project_bandlimited",
-    "SampledOperator", "SamplingSet", "check_recoverability",
+    "SamplingSet", "check_recoverability",
     "greedy_max_lambda_min", "random_sampling", "sampled_gram",
     "SCENARIOS", "NoiseModel", "build_cw", "draw_noise", "noiseless", "scenario_coefficients",
     "LmsState", "RlsState", "SignalModel", "error_signal", "lms_init", "lms_msd_trajectory",

@@ -19,12 +19,42 @@ import numpy as np
 
 from .graph import BandBasis, _frozen_array
 from .noise import NoiseModel
-from .sampling import ErrorRecursion, SampledOperator, SamplingSet
+from .sampling import RECOVERABILITY_TOL, SamplingSet, check_recoverability, sampled_gram
+
+
+@dataclass(frozen=True)
+class ErrorRecursion:
+    """Error recursion delta <- decay * delta + w_S @ gain of one estimator.
+
+    w_S is the step's noise on the sampled nodes (variances c_s) and delta0
+    the error of the zero initial estimate. The f coordinates are
+    orthonormal, so |delta|^2 is the MSD.
+    """
+
+    decay: np.ndarray
+    step: float
+    response: np.ndarray  # (m, f)
+    delta0: np.ndarray
+    c_s: np.ndarray
+
+    def __post_init__(self):
+        # read-only views: one recursion is shared by every run of a trajectory call
+        for name in ("decay", "response", "delta0", "c_s"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+
+    @property
+    def gain(self) -> np.ndarray:
+        return self.step * self.response
 
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Everything fixed during a run: target signal, sampling set, noise law."""
+    """Everything fixed during a run: target signal, sampling set, noise law.
+
+    The sampled Gram matrix U_S^T U_S is decomposed once, on first use.
+    recursion() hands out each estimator's error recursion, which is
+    diagonal: LMS in the Gram eigenbasis V, RLS in band coordinates.
+    """
 
     band: BandBasis
     s_f: np.ndarray  # true band coefficients, shape (f,)
@@ -56,9 +86,66 @@ class SignalModel:
         return _frozen_array(self.band.u_f @ self.s_f)
 
     @cached_property
-    def operator(self) -> SampledOperator:
-        """The sampled Gram operator of this model, decomposed on first use."""
-        return SampledOperator(self.band, self.sampling, self.noise.c_w)
+    def rows(self) -> np.ndarray:  # U_S, the sampled basis rows, shape (m, f)
+        return self.band.u_f[list(self.sampling.indices), :]
+
+    @cached_property
+    def c_s(self) -> np.ndarray:  # noise variances on the sampled nodes, shape (m,)
+        return self.noise.c_w[list(self.sampling.indices)]
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:  # ascending eigenvalues, V
+        return np.linalg.eigh(sampled_gram(self.band, self.sampling))
+
+    @property
+    def lam_min(self) -> float:
+        return float(self.gram_eigh[0][0])
+
+    @property
+    def mu_max(self) -> float:  # LMS is stable for 0 < mu < mu_max
+        return 2.0 / float(self.gram_eigh[0][-1])
+
+    def require_recoverable(self) -> None:
+        if self.lam_min <= RECOVERABILITY_TOL:
+            raise ValueError(f"sampling set not recoverable (lambda_min={self.lam_min:.3e})")
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve; needs a recoverable
+        set and strictly positive variances (the weighting divides by them)."""
+        if np.any(self.noise.c_w <= 0):
+            raise ValueError("RLS weighting needs strictly positive noise variances")
+        self.require_recoverable()
+        rows = self.rows / np.sqrt(self.c_s)[:, None]
+        m_inv = rows.T @ rows
+        m_inv = (m_inv + m_inv.T) / 2
+        m_mat = np.linalg.solve(m_inv, np.eye(self.f))
+        return (m_mat + m_mat.T) / 2
+
+    def recursion(self, algorithm: str, param: float) -> ErrorRecursion:
+        """Error recursion of LMS (param = mu) or RLS (param = lam) from s_hat = 0.
+
+        LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
+        RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
+        Needs a recoverable set; mu is any finite number, 0 < lam <= 1. Each
+        call builds a new recursion with read-only arrays.
+        """
+        self.require_recoverable()
+        if algorithm == "lms":
+            if not np.isfinite(param):
+                raise ValueError("step size must be finite")
+            lam, v = self.gram_eigh
+            return ErrorRecursion(decay=1.0 - param * lam, step=param,
+                                  response=self.rows @ v, delta0=-(v.T @ self.s_f),
+                                  c_s=self.c_s)
+        if algorithm == "rls":
+            if not 0 < param <= 1:
+                raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {param}")
+            m_mat = self.gain  # checks the variances before they divide
+            return ErrorRecursion(decay=np.full(self.f, param), step=1.0 - param,
+                                  response=(self.rows / self.c_s[:, None]) @ m_mat,
+                                  delta0=-self.s_f, c_s=self.c_s)
+        raise ValueError(f"algorithm must be 'lms' or 'rls', got {algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +190,23 @@ def lms_init(model: SignalModel, mu: float) -> LmsState:
 
 
 def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> np.ndarray:
-    """Inverse of the noise-weighted sampled Gram matrix, obtained by solving.
+    """Inverse of the noise-weighted sampled Gram matrix, by direct inversion.
 
+    The stepwise oracle's gain, computed apart from SignalModel.gain.
     Requires a recoverable sampling set and strictly positive variances
     (the weighting divides by them).
     """
-    return SampledOperator(band, sampling, c_w).gain
+    c_w = np.asarray(c_w, dtype=float)
+    if c_w.shape != (band.n,):
+        raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
+    if not np.all(c_w > 0) or not np.isfinite(c_w).all():
+        raise ValueError("RLS weighting needs strictly positive, finite noise variances")
+    ok, lam_min = check_recoverability(band, sampling)
+    if not ok:
+        raise ValueError(f"sampling set not recoverable (lambda_min={lam_min:.3e})")
+    sel = list(sampling.indices)
+    u_s = band.u_f[sel, :]
+    return np.linalg.inv(u_s.T @ (u_s / c_w[sel, None]))
 
 
 def rls_init(model: SignalModel, lam: float) -> RlsState:
@@ -221,7 +319,7 @@ def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
     one update with a fresh noise draw (or the run's one draw, with frozen
     noise). Algebraically identical to iterating lms_step and recording msd.
     """
-    return _msd_recursion(model, model.operator.recursion("lms", mu, model.s_f), n_iter,
+    return _msd_recursion(model, model.recursion("lms", mu), n_iter,
                           rngs, frozen_noise)
 
 
@@ -231,5 +329,5 @@ def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
     """MSD curves of RLS runs, one per generator, computed in band
     coordinates; same conventions and shape as the LMS trajectory,
     identical to iterating rls_step."""
-    return _msd_recursion(model, model.operator.recursion("rls", lam, model.s_f), n_iter,
+    return _msd_recursion(model, model.recursion("rls", lam), n_iter,
                           rngs, frozen_noise)

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import SignalModel, lms_msd_trajectory, rls_msd_trajectory
+from .estimators import ErrorRecursion, SignalModel, lms_msd_trajectory, rls_msd_trajectory
 from .graph import (StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
 from .noise import build_cw, noiseless, scenario_coefficients
-from .sampling import ErrorRecursion, greedy_max_lambda_min, random_sampling
+from .sampling import greedy_max_lambda_min, random_sampling
 from .theory import (TheoryCurve, limits, lms_theory_exact, lms_theory_paper,
                      rls_theory_exact, rls_theory_paper)
 
@@ -187,7 +187,7 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         noise = build_cw(n_a, n_b, stations.n, covariance_seed(config.master_seed))
     s_f, _ = project_bandlimited(band, stations.signal)
     model = SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)
-    model.operator.require_recoverable()
+    model.require_recoverable()
     return model
 
 
@@ -198,8 +198,8 @@ def theory_curves(config: ExperimentConfig,
         paper, exact = lms_theory_paper, lms_theory_exact
     else:
         paper, exact = rls_theory_paper, rls_theory_exact
-    return (paper(model.operator, model.s_f, config.param, config.iterations),
-            exact(model.operator, model.s_f, config.param, config.iterations))
+    return (paper(model, config.param, config.iterations),
+            exact(model, config.param, config.iterations))
 
 
 @dataclass(frozen=True)
@@ -329,15 +329,14 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     simulated = time.perf_counter()
     metadata = {
         "sampling_indices": list(model.sampling.indices),
-        "lambda_min": model.operator.lam_min,
+        "lambda_min": model.lam_min,
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
     }
-    metadata.update(_limit_diagnostics(model.operator.recursion(config.algorithm, config.param,
-                                                                model.s_f)))
+    metadata.update(_limit_diagnostics(model.recursion(config.algorithm, config.param)))
     if config.algorithm == "lms":
-        mu_max = model.operator.mu_max
+        mu_max = model.mu_max
         metadata["mu_max"] = mu_max
         metadata["stable"] = bool(config.param < mu_max)
         if config.param >= mu_max:

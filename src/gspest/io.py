@@ -206,23 +206,23 @@ def build_manifest(result: RunResult, stations: StationTable, duration_seconds: 
     numbers that decide whether the run can be trusted (stability, spectral
     radius, steady states, the predicted literal - exact gap and the measured
     tail deviation, whose non-finite values are written as null)."""
-    deviation = dataclasses.asdict(result.deviation)
+    deviation, meta = dataclasses.asdict(result.deviation), result.metadata
     return {
         "format": "gspest-run-manifest/1",
         "package_version": __version__,
         "config": config_to_dict(result.config),
         "station_digest": station_digest(stations),
-        "covariance_digest": result.metadata.get("cw_digest"),
-        "sampling_indices": list(result.metadata.get("sampling_indices", [])),
-        "lambda_min": result.metadata.get("lambda_min"),
-        "mu_max": result.metadata.get("mu_max"),
-        "stable": result.metadata.get("stable"),
-        "spectral_radius": result.metadata.get("spectral_radius"),
-        "steady_state": result.metadata.get("steady_state"),
-        "predicted_gap_db": result.metadata.get("predicted_gap_db"),
+        "covariance_digest": meta["cw_digest"],
+        "sampling_indices": list(meta["sampling_indices"]),
+        "lambda_min": meta["lambda_min"],
+        "mu_max": meta.get("mu_max"),  # LMS only
+        "stable": meta.get("stable"),
+        "spectral_radius": meta["spectral_radius"],
+        "steady_state": meta["steady_state"],
+        "predicted_gap_db": meta["predicted_gap_db"],
         "deviation": {k: v if math.isfinite(v) else None for k, v in deviation.items()},
         "duration_seconds": float(duration_seconds),
-        "stages": dict(result.metadata.get("stages", {})),
+        "stages": dict(meta["stages"]),
     }
 
 

@@ -8,11 +8,10 @@ also fixes the stable range of adaptation step sizes.
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .graph import BandBasis, _frozen_array
+from .graph import BandBasis
 
 RECOVERABILITY_TOL = 1e-8
 
@@ -67,101 +66,6 @@ def sampled_gram(band: BandBasis, sampling: SamplingSet) -> np.ndarray:
     rows = band.u_f[list(sampling.indices), :]
     gram = rows.T @ rows
     return (gram + gram.T) / 2
-
-
-@dataclass(frozen=True)
-class ErrorRecursion:
-    """Error recursion delta <- decay * delta + w_S @ gain of one estimator.
-
-    w_S is the step's noise on the sampled nodes (variances c_s) and delta0
-    the error of the zero initial estimate. The f coordinates are
-    orthonormal, so |delta|^2 is the MSD.
-    """
-
-    decay: np.ndarray
-    step: float
-    response: np.ndarray  # (m, f)
-    delta0: np.ndarray
-    c_s: np.ndarray
-
-    def __post_init__(self):
-        # read-only views: one recursion is shared by every run of a trajectory call
-        for name in ("decay", "response", "delta0", "c_s"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def gain(self) -> np.ndarray:
-        return self.step * self.response
-
-
-class SampledOperator:
-    """The sampled Gram matrix U_S^T U_S of one experiment, decomposed once.
-
-    c_w is the noise covariance diagonal over all nodes. recursion() hands
-    out each estimator's error recursion, which is diagonal: LMS in the Gram
-    eigenbasis V, RLS in band coordinates.
-    """
-
-    def __init__(self, band: BandBasis, sampling: SamplingSet, c_w: np.ndarray):
-        c_w = np.asarray(c_w, dtype=float)
-        if c_w.shape != (band.n,):
-            raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
-        if np.any(c_w < 0) or not np.isfinite(c_w).all():
-            raise ValueError("variances must be finite and nonnegative")
-        self.band = band
-        self.c_w = c_w
-        self.c_s = c_w[list(sampling.indices)]  # variances on the sampled nodes
-        self.rows = band.u_f[list(sampling.indices), :]  # U_S, shape (m, f)
-        self.lam, self.v = np.linalg.eigh(sampled_gram(band, sampling))
-        self.lam_min = float(self.lam[0])
-        self.mu_max = 2.0 / float(self.lam[-1])  # LMS is stable for 0 < mu < mu_max
-
-    def require_recoverable(self) -> None:
-        if self.lam_min <= RECOVERABILITY_TOL:
-            raise ValueError(f"sampling set not recoverable (lambda_min={self.lam_min:.3e})")
-
-    @cached_property
-    def gain(self) -> np.ndarray:
-        """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve.
-
-        Needs a recoverable set and strictly positive variances (the
-        weighting divides by them).
-        """
-        if np.any(self.c_w <= 0):
-            raise ValueError("RLS weighting needs strictly positive noise variances")
-        self.require_recoverable()
-        rows = self.rows / np.sqrt(self.c_s)[:, None]
-        m_inv = rows.T @ rows
-        m_inv = (m_inv + m_inv.T) / 2
-        m_mat = np.linalg.solve(m_inv, np.eye(self.band.f))
-        return (m_mat + m_mat.T) / 2
-
-    def recursion(self, algorithm: str, param: float, s_f: np.ndarray) -> ErrorRecursion:
-        """Error recursion of LMS (param = mu) or RLS (param = lam) from s_hat = 0.
-
-        LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
-        RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
-        Needs a recoverable set; mu is any finite number, 0 < lam <= 1. Each
-        call builds a new recursion with read-only arrays.
-        """
-        s_f = np.asarray(s_f, dtype=float)
-        if s_f.shape != (self.band.f,):
-            raise ValueError(f"s_f shape {s_f.shape} != ({self.band.f},)")
-        self.require_recoverable()
-        if algorithm == "lms":
-            if not np.isfinite(param):
-                raise ValueError("step size must be finite")
-            return ErrorRecursion(decay=1.0 - param * self.lam, step=param,
-                                  response=self.rows @ self.v, delta0=-(self.v.T @ s_f),
-                                  c_s=self.c_s)
-        if algorithm == "rls":
-            if not 0 < param <= 1:
-                raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {param}")
-            m_mat = self.gain  # checks the variances before they divide
-            return ErrorRecursion(decay=np.full(self.band.f, param), step=1.0 - param,
-                                  response=(self.rows / self.c_s[:, None]) @ m_mat,
-                                  delta0=-s_f, c_s=self.c_s)
-        raise ValueError(f"algorithm must be 'lms' or 'rls', got {algorithm!r}")
 
 
 def check_recoverability(band: BandBasis, sampling: SamplingSet) -> tuple[bool, float]:

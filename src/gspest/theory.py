@@ -1,7 +1,8 @@
 """Closed-form transient MSD curves for the LMS and RLS estimators.
 
-Both estimators unroll one error recursion, delta <- d * delta + w_S @ G
-with d diagonal and G = step * R (SampledOperator.recursion). With
+Every curve and steady state reads the experiment's SignalModel, whose
+recursion() gives the one error recursion both estimators unroll,
+delta <- d * delta + w_S @ G with d diagonal and G = step * R. With
 q = diag(R^T C_S R), p = R^T sqrt(c_S) and the partial sums
 S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import ErrorRecursion, SignalModel
 from .graph import BandBasis, _frozen_array
-from .sampling import (RECOVERABILITY_TOL, ErrorRecursion, SampledOperator, SamplingSet,
-                       sampled_gram)
+from .sampling import RECOVERABILITY_TOL, SamplingSet, sampled_gram
 
 _MODES = ("paper", "exact")
 
@@ -95,40 +96,36 @@ def limits(rec: ErrorRecursion) -> dict[str, float]:
             "exact": float((rec.step**2) * np.sum(q / (1.0 - rec.decay**2)))}
 
 
-def _curve(op: SampledOperator, algorithm: str, mode: str, s_f: np.ndarray,
-           param: float, t_max: int) -> TheoryCurve:
+def _curve(model: SignalModel, algorithm: str, mode: str, param: float,
+           t_max: int) -> TheoryCurve:
     t_max = int(t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    rec = op.recursion(algorithm, param, s_f)
+    rec = model.recursion(algorithm, param)
     return TheoryCurve(mode=mode, values=_transient(rec, mode, t_max))
 
 
-def lms_theory_paper(op: SampledOperator, s_f: np.ndarray, mu: float,
-                     t_max: int) -> TheoryCurve:
+def lms_theory_paper(model: SignalModel, mu: float, t_max: int) -> TheoryCurve:
     """Literal frozen-noise closed form for the LMS transient; mu is not
     restricted to the stable range."""
-    return _curve(op, "lms", "paper", s_f, mu, t_max)
+    return _curve(model, "lms", "paper", mu, t_max)
 
 
-def lms_theory_exact(op: SampledOperator, s_f: np.ndarray, mu: float,
-                     t_max: int) -> TheoryCurve:
+def lms_theory_exact(model: SignalModel, mu: float, t_max: int) -> TheoryCurve:
     """Exact expected MSD of LMS under independently redrawn noise: the trace
     of the error covariance, which is diagonal in the Gram eigenbasis."""
-    return _curve(op, "lms", "exact", s_f, mu, t_max)
+    return _curve(model, "lms", "exact", mu, t_max)
 
 
-def rls_theory_paper(op: SampledOperator, s_f: np.ndarray, lam: float,
-                     t_max: int) -> TheoryCurve:
+def rls_theory_paper(model: SignalModel, lam: float, t_max: int) -> TheoryCurve:
     """Literal frozen-noise closed form for the RLS transient."""
-    return _curve(op, "rls", "paper", s_f, lam, t_max)
+    return _curve(model, "rls", "paper", lam, t_max)
 
 
-def rls_theory_exact(op: SampledOperator, s_f: np.ndarray, lam: float,
-                     t_max: int) -> TheoryCurve:
+def rls_theory_exact(model: SignalModel, lam: float, t_max: int) -> TheoryCurve:
     """Exact expected MSD of RLS under independently redrawn noise. At
     lam = 1 no update happens and the curve is constant."""
-    return _curve(op, "rls", "exact", s_f, lam, t_max)
+    return _curve(model, "rls", "exact", lam, t_max)
 
 
 def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
@@ -161,14 +158,14 @@ def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
     return (p_mat + p_mat.T) / 2
 
 
-def lms_steady_state(op: SampledOperator, mu: float, mode: str) -> float:
+def lms_steady_state(model: SignalModel, mu: float, mode: str) -> float:
     """Large-t limit of the LMS theory curve in the requested mode; needs a
     stable mu."""
     _check_mode(mode)
-    return limits(op.recursion("lms", mu, np.zeros(op.band.f)))[mode]  # start is forgotten
+    return limits(model.recursion("lms", mu))[mode]  # the start is forgotten
 
 
-def rls_steady_state(op: SampledOperator, lam: float, mode: str) -> float:
+def rls_steady_state(model: SignalModel, lam: float, mode: str) -> float:
     """Large-t limit of the RLS theory curve; requires lam < 1 to converge."""
     _check_mode(mode)
-    return limits(op.recursion("rls", lam, np.zeros(op.band.f)))[mode]
+    return limits(model.recursion("rls", lam))[mode]

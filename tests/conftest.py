@@ -33,6 +33,14 @@ SMALL_CONFIG = dict(
 )
 
 
+def random_orthonormal(n, f, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, f)))
+    # normalize the sign so the fixture is stable across BLAS builds
+    q *= np.sign(q[0, :] + (q[0, :] == 0))
+    return BandBasis(f=f, u_f=q)
+
+
 def sampled_noise(model, rng):
     """One step of a run's noise stream as an n-vector: sqrt(c_S) times m
     standard normals on the sampled nodes, in index order, zero elsewhere.

@@ -29,7 +29,6 @@ from numpy.testing import assert_allclose
 from gspest import (
     DeviationStats,
     ExperimentConfig,
-    SampledOperator,
     SignalModel,
     band_select,
     build_cw,
@@ -257,9 +256,8 @@ class TestAcceptance:
         m_trace = float(np.trace(rls_gain_matrix(model.band, model.sampling,
                                                  model.noise.c_w)))
         energy = float(model.s_f @ model.s_f)
-        op = SampledOperator(model.band, model.sampling, model.noise.c_w)
         for lam in (0.55, 0.61, 0.79, 0.85):
-            analytic = rls_theory_exact(op, model.s_f, lam, 400).values
+            analytic = rls_theory_exact(model, lam, 400).values
             value = energy
             iterated = [value]
             for _t in range(399):
@@ -293,15 +291,14 @@ class TestAcceptance:
             runs=1, master_seed=MASTER_SEED, n_stations=299)
         model = prepare_experiment(config, stations299, bases299[8])
         energy = float(model.s_f @ model.s_f)
-        op = SampledOperator(model.band, model.sampling, model.noise.c_w)
-        mu_max = op.mu_max
-        below = lms_theory_exact(op, model.s_f, 0.99 * mu_max, 2000).values
-        steady = lms_steady_state(op, 0.99 * mu_max, "exact")
+        mu_max = model.mu_max
+        below = lms_theory_exact(model, 0.99 * mu_max, 2000).values
+        steady = lms_steady_state(model, 0.99 * mu_max, "exact")
         assert np.isfinite(below).all()
         assert below.max() <= max(energy, steady) * (1 + 1e-12)
         assert abs(below[-1] - steady) <= 1e-9 * steady
 
-        above = lms_theory_exact(op, model.s_f, 1.01 * mu_max, 2000).values
+        above = lms_theory_exact(model, 1.01 * mu_max, 2000).values
         assert np.any(above > 1e3 * energy)
 
     def test_c08_trivial_limits(self):
@@ -310,18 +307,15 @@ class TestAcceptance:
         model, _, _, _ = random_instance(3)
         energy = float(model.s_f @ model.s_f)
 
-        op = SampledOperator(model.band, model.sampling, model.noise.c_w)
-        frozen_estimate = rls_theory_exact(op, model.s_f, 1.0, 300).values
+        frozen_estimate = rls_theory_exact(model, 1.0, 300).values
         assert_allclose(frozen_estimate, energy, rtol=1e-12)
 
-        no_step = lms_theory_exact(op, model.s_f, 0.0, 300).values
+        no_step = lms_theory_exact(model, 0.0, 300).values
         assert_allclose(no_step, energy, rtol=1e-12)
 
         quiet = SignalModel(band=model.band, s_f=model.s_f,
                             sampling=model.sampling, noise=noiseless(model.band.n))
-        zeros = np.zeros(model.band.n)
-        theory = lms_theory_paper(SampledOperator(model.band, model.sampling, zeros),
-                                  model.s_f, 0.5, 200).values
+        theory = lms_theory_paper(quiet, 0.5, 200).values
         sim = lms_msd_trajectory(quiet, 0.5, 200, [np.random.default_rng(0)])[0]
         assert_allclose(theory, sim, rtol=1e-9)
 
@@ -332,11 +326,10 @@ class TestAcceptance:
         model, _, mu, _ = random_instance(5)
         c_w = model.noise.c_w
         m_trace = float(np.trace(rls_gain_matrix(model.band, model.sampling, c_w)))
-        op = SampledOperator(model.band, model.sampling, c_w)
         for lam in (0.7, 0.85):
-            steady = rls_steady_state(op, lam, "exact")
+            steady = rls_steady_state(model, lam, "exact")
             assert_allclose(steady, (1 - lam) / (1 + lam) * m_trace, rtol=1e-12)
-            tail = rls_theory_exact(op, model.s_f, lam, 10_000).values[-1]
+            tail = rls_theory_exact(model, lam, 10_000).values[-1]
             assert abs(tail - steady) <= 1e-9 * steady
 
         sel = list(model.sampling.indices)
@@ -346,7 +339,7 @@ class TestAcceptance:
         p_inf = solve_lms_lyapunov(model.band, model.sampling, c_w, mu)
         residual = np.linalg.norm(p_inf - (a_mat @ p_inf @ a_mat.T + q_mat))
         assert residual <= 1e-12 * np.linalg.norm(p_inf)
-        assert_allclose(lms_steady_state(op, mu, "exact"),
+        assert_allclose(lms_steady_state(model, mu, "exact"),
                         float(np.trace(p_inf)), rtol=1e-12)
 
     def test_c10_byte_identical_reruns(self, tmp_path):

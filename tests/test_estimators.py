@@ -10,12 +10,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (
     NoiseModel,
+    SamplingSet,
+    SignalModel,
+    check_recoverability,
     draw_noise,
     error_signal,
     lms_init,
     lms_msd_trajectory,
     lms_step,
     msd,
+    noiseless,
     rls_gain_matrix,
     rls_init,
     rls_msd_trajectory,
@@ -23,7 +27,7 @@ from gspest import (
 )
 from gspest.harness import _to_db, run_rng
 
-from conftest import sampled_noise
+from conftest import random_orthonormal, sampled_noise
 
 # Noise-free ground truth for the two-node fixture. With step size 25/16 the
 # per-iteration error factor is 7/16 exactly, so MSD(t) = 4 * (7/16)^(2t-2).
@@ -145,6 +149,44 @@ class TestStates:
         with pytest.warns(UserWarning):
             rls_init(hand_model_noisy, 0.3)
 
+
+
+class TestSignalModel:
+    def test_stable_step_range(self):
+        band = random_orthonormal(9, 4, seed=5)
+        s = SamplingSet(indices=tuple(range(9)), n=9)
+        model = SignalModel(band=band, s_f=np.zeros(4), sampling=s, noise=noiseless(9))
+        model.require_recoverable()
+        assert_allclose(model.mu_max, 2.0, rtol=1e-12)
+
+    def test_stable_step_range_requires_recoverable(self):
+        band = random_orthonormal(10, 4, seed=7)
+        model = SignalModel(band=band, s_f=np.zeros(4),
+                            sampling=SamplingSet(indices=(0, 1), n=10), noise=noiseless(10))
+        with pytest.raises(ValueError):
+            model.require_recoverable()
+
+    def test_replaced_noise_gets_a_new_gain(self, setup10):
+        model = setup10
+        gain = model.gain  # cached on first use
+        other = replace(model, noise=NoiseModel(2.0 * model.noise.c_w))
+        assert_allclose(other.gain, 2.0 * gain, rtol=1e-12)
+        assert_allclose(other.gain, rls_gain_matrix(model.band, model.sampling,
+                                                    other.noise.c_w), rtol=1e-12)
+        assert model.gain is gain
+
+    def test_replaced_sampling_gets_a_new_spectrum(self, setup10):
+        model = setup10
+        lam_min, mu_max = model.lam_min, model.mu_max  # cached on first use
+        assert lam_min < 0.999
+        every = SamplingSet(indices=tuple(range(model.n)), n=model.n)
+        other = replace(model, sampling=every)
+        # all nodes sampled: U_S^T U_S = I, so lam_min = 1 and mu_max = 2
+        assert_allclose(other.lam_min, 1.0, rtol=1e-12)
+        assert_allclose(other.lam_min, check_recoverability(model.band, every)[1], rtol=1e-12)
+        assert_allclose(other.mu_max, 2.0, rtol=1e-12)
+        assert other.rows.shape == (model.n, model.f) and other.c_s.shape == (model.n,)
+        assert (model.lam_min, model.mu_max) == (lam_min, mu_max)
 
 
 class TestGainMatrix:
@@ -331,7 +373,7 @@ class TestContraction:
         from gspest import LmsState
 
         model = setup10
-        mu_max = model.operator.mu_max
+        mu_max = model.mu_max
         s_hat = model.s_f + np.asarray(coeffs)
         err0 = msd(model, s_hat)
         state = LmsState(s_hat=s_hat, mu=mu_frac * mu_max, t=1)

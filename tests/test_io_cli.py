@@ -308,15 +308,16 @@ class TestManifest:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
         result = run_experiment(config, stations)
         manifest = gio.build_manifest(result, stations, 0.0)
-        op = prepare_experiment(config, stations).operator
-        assert manifest["mu_max"] == op.mu_max and manifest["stable"] is True
-        assert manifest["spectral_radius"] == float(np.max(np.abs(1 - config.param * op.lam)))
+        model = prepare_experiment(config, stations)
+        assert manifest["mu_max"] == model.mu_max and manifest["stable"] is True
+        assert manifest["spectral_radius"] == float(
+            np.max(np.abs(1 - config.param * model.gram_eigh[0])))
         assert manifest["steady_state"] == {
-            mode: lms_steady_state(op, config.param, mode) for mode in ("paper", "exact")}
+            mode: lms_steady_state(model, config.param, mode) for mode in ("paper", "exact")}
         steady = manifest["steady_state"]
         assert manifest["predicted_gap_db"] == 10 * math.log10(steady["paper"] / steady["exact"])
 
-        unstable = dataclasses.replace(config, param=1.05 * op.mu_max)
+        unstable = dataclasses.replace(config, param=1.05 * model.mu_max)
         with pytest.warns(RuntimeWarning, match="stability limit"):
             result = run_experiment(unstable, stations)
         manifest = gio.build_manifest(result, stations, 0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gspest
-from gspest.sampling import ErrorRecursion
+from gspest.estimators import ErrorRecursion
 
 SRC = pathlib.Path(gspest.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")

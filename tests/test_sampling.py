@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from gspest import (
     BandBasis,
     ExperimentConfig,
-    SampledOperator,
     SamplingSet,
     band_select,
     build_knn_graph,
@@ -25,15 +24,7 @@ from gspest import (
 from gspest import sampling
 from gspest.sampling import _arrowhead_min_eig, _rank_one_min_eig
 
-from conftest import SMALL_CONFIG
-
-
-def random_orthonormal(n, f, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, f)))
-    # normalize the sign so the fixture is stable across BLAS builds
-    q *= np.sign(q[0, :] + (q[0, :] == 0))
-    return BandBasis(f=f, u_f=q)
+from conftest import SMALL_CONFIG, random_orthonormal
 
 
 def duplicated_rows_basis(n_distinct, f, n_dup, seed):
@@ -126,19 +117,6 @@ class TestGramAndRecoverability:
         ok, lam_min = check_recoverability(band, s)
         assert not ok
         assert lam_min <= 1e-8
-
-    def test_stable_step_range(self):
-        band = random_orthonormal(9, 4, seed=5)
-        s = SamplingSet(indices=tuple(range(9)), n=9)
-        op = SampledOperator(band, s, np.zeros(9))
-        op.require_recoverable()
-        assert_allclose(op.mu_max, 2.0, rtol=1e-12)
-
-    def test_stable_step_range_requires_recoverable(self):
-        band = random_orthonormal(10, 4, seed=7)
-        op = SampledOperator(band, SamplingSet(indices=(0, 1), n=10), np.zeros(10))
-        with pytest.raises(ValueError):
-            op.require_recoverable()
 
 
 class TestSecularSolvers:

@@ -5,6 +5,8 @@ matrix powers, explicit covariance recursions, explicit Frobenius norms.
 Agreement to near machine precision is the main correctness argument.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,7 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gspest import (
     BandBasis,
     ExperimentConfig,
-    SampledOperator,
+    NoiseModel,
+    SignalModel,
     TheoryCurve,
     lms_msd_trajectory,
     lms_steady_state,
@@ -30,6 +33,10 @@ from gspest.sampling import SamplingSet, sampled_gram
 
 def model_parts(m):
     return m.band, m.sampling, m.s_f, m.noise.c_w
+
+
+def with_noise(model, c_w):
+    return replace(model, noise=NoiseModel(c_w))
 
 
 def injected_covariance(band, sampling, c_w, mu):
@@ -101,13 +108,12 @@ def naive_rls_exact(band, sampling, s_f, c_w, lam, t_max):
 
 class TestCurveStart:
     def test_all_modes_start_at_signal_energy(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        energy = float(s_f @ s_f)
+        energy = float(setup10.s_f @ setup10.s_f)
         for curve in (
-            lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.5, 10),
-            lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 10),
-            rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.7, 10),
-            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.7, 10),
+            lms_theory_paper(setup10, 0.5, 10),
+            lms_theory_exact(setup10, 0.5, 10),
+            rls_theory_paper(setup10, 0.7, 10),
+            rls_theory_exact(setup10, 0.7, 10),
         ):
             assert_allclose(curve.values[0], energy, rtol=1e-10)
             assert curve.values.shape == (10,)
@@ -123,49 +129,40 @@ class TestLmsCurves:
     def test_paper_matches_matrix_evaluation(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for mu in (0.3, 0.5, 1.2):
-            fast = lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, mu, 60).values
+            fast = lms_theory_paper(setup10, mu, 60).values
             slow = naive_lms_paper(band, sampling, s_f, c_w, mu, 60)
             assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
     def test_exact_matches_covariance_recursion(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for mu in (0.3, 0.5, 1.2):
-            fast = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, mu, 60).values
+            fast = lms_theory_exact(setup10, mu, 60).values
             slow = naive_lms_exact(band, sampling, s_f, c_w, mu, 60)
             assert_allclose(fast, slow, rtol=1e-10)
 
     def test_noise_free_modes_coincide(self, setup10):
-        band, sampling, s_f, _ = model_parts(setup10)
-        zero = np.zeros(band.n)
-        paper = lms_theory_paper(SampledOperator(band, sampling, zero), s_f, 0.5, 40).values
-        exact = lms_theory_exact(SampledOperator(band, sampling, zero), s_f, 0.5, 40).values
+        quiet = with_noise(setup10, np.zeros(setup10.n))
+        paper = lms_theory_paper(quiet, 0.5, 40).values
+        exact = lms_theory_exact(quiet, 0.5, 40).values
         assert_allclose(paper, exact, rtol=1e-12)
 
     def test_mu_zero_is_constant(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        energy = float(s_f @ s_f)
-        assert_allclose(lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.0, 20).values,
-                        energy, rtol=1e-12)
-        assert_allclose(lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.0, 20).values,
-                        energy, rtol=1e-12)
+        energy = float(setup10.s_f @ setup10.s_f)
+        assert_allclose(lms_theory_paper(setup10, 0.0, 20).values, energy, rtol=1e-12)
+        assert_allclose(lms_theory_exact(setup10, 0.0, 20).values, energy, rtol=1e-12)
 
     def test_rejects_nonrecoverable_sampling(self, setup10):
-        band, _, s_f, c_w = model_parts(setup10)
-        bad = SamplingSet(indices=(0, 1), n=band.n)
+        bad = SamplingSet(indices=(0, 1), n=setup10.n)
         with pytest.raises(ValueError):
-            lms_theory_paper(SampledOperator(band, bad, c_w), s_f, 0.5, 10)
+            lms_theory_paper(replace(setup10, sampling=bad), 0.5, 10)
 
     def test_unstable_step_is_allowed_and_grows(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        mu_max = SampledOperator(band, sampling, c_w).mu_max
-        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.05 * mu_max,
-                                 400).values
+        curve = lms_theory_exact(setup10, 1.05 * setup10.mu_max, 400).values
         assert curve[-1] > 1e3 * curve[0]
 
     def test_exact_converges_monotonically_near_tail(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact")
-        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 300).values
+        steady = lms_steady_state(setup10, 0.5, "exact")
+        curve = lms_theory_exact(setup10, 0.5, 300).values
         gap = np.abs(curve - steady)
         assert np.all(np.diff(gap[50:]) <= 1e-12 * steady)
 
@@ -174,8 +171,7 @@ class TestLmsSteadyState:
     def test_exact_matches_lyapunov_trace(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         p_inf = solve_lms_lyapunov(band, sampling, c_w, 0.5)
-        assert_allclose(lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact"),
-                        np.trace(p_inf), rtol=1e-12)
+        assert_allclose(lms_steady_state(setup10, 0.5, "exact"), np.trace(p_inf), rtol=1e-12)
 
     def test_lyapunov_residual(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
@@ -190,20 +186,18 @@ class TestLmsSteadyState:
 
     def test_lyapunov_rejects_unstable_step(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        mu_max = SampledOperator(band, sampling, c_w).mu_max
+        mu_max = setup10.mu_max
         with pytest.raises(ValueError):
             solve_lms_lyapunov(band, sampling, c_w, 1.01 * mu_max)
 
     def test_exact_matches_curve_tail(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "exact")
-        curve = lms_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.5, 4000).values
+        steady = lms_steady_state(setup10, 0.5, "exact")
+        curve = lms_theory_exact(setup10, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
     def test_paper_mode_matches_curve_tail(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        steady = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "paper")
-        curve = lms_theory_paper(SampledOperator(band, sampling, c_w), s_f, 0.5, 4000).values
+        steady = lms_steady_state(setup10, 0.5, "paper")
+        curve = lms_theory_paper(setup10, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
     def test_paper_mode_equals_weighted_trace(self, setup10):
@@ -214,7 +208,7 @@ class TestLmsSteadyState:
         d_s = np.diag(sampling.indicator())
         mid = band.u_f.T @ d_s @ np.diag(c_w) @ d_s @ band.u_f
         want = float(np.trace(gram_inv @ mid @ gram_inv))
-        got = lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "paper")
+        got = lms_steady_state(setup10, 0.5, "paper")
         assert_allclose(got, want, rtol=1e-10)
 
     def test_flat_spectrum_closed_form(self):
@@ -225,32 +219,30 @@ class TestLmsSteadyState:
         band = BandBasis(f=2, u_f=q)
         sampling = SamplingSet(indices=tuple(range(6)), n=6)
         sigma_sq, mu = 0.3, 0.7
-        got = lms_steady_state(SampledOperator(band, sampling, np.full(6, sigma_sq)), mu, "exact")
+        flat = SignalModel(band=band, s_f=np.zeros(2), sampling=sampling,
+                           noise=NoiseModel(np.full(6, sigma_sq)))
+        got = lms_steady_state(flat, mu, "exact")
         assert_allclose(got, 2 * mu * sigma_sq / (2 - mu), rtol=1e-12)
 
     def test_zero_noise_limit_is_zero(self, setup10):
-        band, sampling, _, _ = model_parts(setup10)
-        quiet = SampledOperator(band, sampling, np.zeros(band.n))
+        quiet = with_noise(setup10, np.zeros(setup10.n))
         assert lms_steady_state(quiet, 0.5, "exact") == 0.0
         assert lms_steady_state(quiet, 0.5, "paper") == 0.0
 
     def test_mode_validation(self, setup10):
-        band, sampling, _, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            lms_steady_state(SampledOperator(band, sampling, c_w), 0.5, "average")
+            lms_steady_state(setup10, 0.5, "average")
 
     def test_unstable_step_rejected(self, setup10):
-        band, sampling, _, c_w = model_parts(setup10)
-        mu_max = SampledOperator(band, sampling, c_w).mu_max
         with pytest.raises(ValueError):
-            lms_steady_state(SampledOperator(band, sampling, c_w), 1.01 * mu_max, "exact")
+            lms_steady_state(setup10, 1.01 * setup10.mu_max, "exact")
 
 
 class TestRlsCurves:
     def test_paper_matches_matrix_evaluation(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for lam in (0.55, 0.7, 0.9):
-            fast = rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, lam, 60).values
+            fast = rls_theory_paper(setup10, lam, 60).values
             slow = naive_rls_paper(band, sampling, s_f, c_w, lam, 60)
             assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -267,38 +259,33 @@ class TestRlsCurves:
     def test_exact_matches_recursion(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         for lam in (0.55, 0.7, 0.9):
-            fast = rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, lam, 120).values
+            fast = rls_theory_exact(setup10, lam, 120).values
             slow = naive_rls_exact(band, sampling, s_f, c_w, lam, 120)
             assert_allclose(fast, slow, rtol=1e-11)
 
     def test_lambda_one_is_constant(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
-        energy = float(s_f @ s_f)
-        assert_allclose(rls_theory_paper(SampledOperator(band, sampling, c_w), s_f, 1.0, 30).values,
-                        energy, rtol=1e-12)
-        assert_allclose(rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.0, 30).values,
-                        energy, rtol=1e-12)
+        energy = float(setup10.s_f @ setup10.s_f)
+        assert_allclose(rls_theory_paper(setup10, 1.0, 30).values, energy, rtol=1e-12)
+        assert_allclose(rls_theory_exact(setup10, 1.0, 30).values, energy, rtol=1e-12)
 
     def test_rejects_zero_variance(self, setup10):
-        band, sampling, s_f, _ = model_parts(setup10)
+        quiet = with_noise(setup10, np.zeros(setup10.n))
         with pytest.raises(ValueError):
-            rls_theory_paper(SampledOperator(band, sampling, np.zeros(band.n)), s_f, 0.7, 10)
+            rls_theory_paper(quiet, 0.7, 10)
         with pytest.raises(ValueError):
-            rls_theory_exact(SampledOperator(band, sampling, np.zeros(band.n)), s_f, 0.7, 10)
+            rls_theory_exact(quiet, 0.7, 10)
 
     def test_rejects_bad_lambda(self, setup10):
-        band, sampling, s_f, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 0.0, 10)
+            rls_theory_exact(setup10, 0.0, 10)
         with pytest.raises(ValueError):
-            rls_theory_exact(SampledOperator(band, sampling, c_w), s_f, 1.5, 10)
+            rls_theory_exact(setup10, 1.5, 10)
 
 
 class TestRlsSteadyState:
     def test_paper_mode_is_lambda_invariant(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        vals = [rls_steady_state(SampledOperator(band, sampling, c_w), lam, "paper")
-                for lam in (0.3, 0.6, 0.9)]
+        vals = [rls_steady_state(setup10, lam, "paper") for lam in (0.3, 0.6, 0.9)]
         assert vals[0] == vals[1] == vals[2]
         m_mat = rls_gain_matrix(band, sampling, c_w)
         assert_allclose(vals[0], np.trace(m_mat), rtol=1e-12)
@@ -308,20 +295,17 @@ class TestRlsSteadyState:
         m_mat = rls_gain_matrix(band, sampling, c_w)
         for lam in (0.55, 0.85):
             want = (1 - lam) / (1 + lam) * float(np.trace(m_mat))
-            assert_allclose(rls_steady_state(SampledOperator(band, sampling, c_w), lam, "exact"),
-                            want, rtol=1e-12)
+            assert_allclose(rls_steady_state(setup10, lam, "exact"), want, rtol=1e-12)
 
     def test_exact_mode_matches_recursion_fixed_point(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         lam = 0.7
         tail = naive_rls_exact(band, sampling, s_f, c_w, lam, 400)[-1]
-        assert_allclose(rls_steady_state(SampledOperator(band, sampling, c_w), lam, "exact"),
-                        tail, rtol=1e-10)
+        assert_allclose(rls_steady_state(setup10, lam, "exact"), tail, rtol=1e-10)
 
     def test_lambda_one_rejected(self, setup10):
-        band, sampling, _, c_w = model_parts(setup10)
         with pytest.raises(ValueError):
-            rls_steady_state(SampledOperator(band, sampling, c_w), 1.0, "exact")
+            rls_steady_state(setup10, 1.0, "exact")
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +333,7 @@ class TestFullScale:
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_case1_curves_match_matrix_evaluation(self, case1, fast, slow, param):
         band, sampling, s_f, c_w = model_parts(case1)
-        got = fast(case1.operator, s_f, param, 60).values
+        got = fast(case1, param, 60).values
         want = slow(band, sampling, s_f, c_w, param, 60)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -358,28 +342,27 @@ class TestErrorRecursion:
     @pytest.mark.parametrize("lam", [0.0, 1.5])
     def test_rejects_forgetting_factor_outside_unit_interval(self, setup10, lam):
         with pytest.raises(ValueError, match="forgetting factor"):
-            setup10.operator.recursion("rls", lam, setup10.s_f)
+            setup10.recursion("rls", lam)
 
     def test_rejects_unknown_algorithm(self, setup10):
         with pytest.raises(ValueError, match="algorithm"):
-            setup10.operator.recursion("nlms", 0.5, setup10.s_f)
+            setup10.recursion("nlms", 0.5)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_step(self, setup10, mu):
         model = setup10
         with pytest.raises(ValueError, match="step size must be finite"):
-            lms_theory_exact(model.operator, model.s_f, mu, 5)
+            lms_theory_exact(model, mu, 5)
         with pytest.raises(ValueError, match="step size must be finite"):
             lms_msd_trajectory(model, mu, 5, [np.random.default_rng(0)])
 
     def test_built_per_call_and_read_only(self, setup10):
-        op, s_f = setup10.operator, setup10.s_f
-        rec = op.recursion("rls", 0.7, s_f)
-        again = op.recursion("rls", 0.7, s_f.copy())
+        rec = setup10.recursion("rls", 0.7)
+        again = setup10.recursion("rls", 0.7)
         assert again is not rec
         assert again.step == rec.step
         for name in ("decay", "response", "delta0", "c_s"):
             assert_array_equal(getattr(again, name), getattr(rec, name))
         for arr in (rec.decay, rec.response, rec.delta0, rec.c_s):
             assert not arr.flags.writeable
-        assert op.c_s.flags.writeable  # the views leave the operator's arrays alone
+        assert setup10.c_s.flags.writeable  # the views leave the model's arrays alone
