@@ -7,21 +7,18 @@ measured learning curves against closed-form predictions.
 """
 
 from ._version import __version__
-from .estimators import (LmsState, RlsState, SignalModel, error_signal, lms_init,
-                         lms_msd_trajectory, lms_step, msd, rls_gain_matrix,
-                         rls_init, rls_msd_trajectory, rls_step)
+from .estimators import SignalModel, lms_msd_trajectory, rls_gain_matrix, rls_msd_trajectory
 from .graph import (BandBasis, GftBasis, Graph, StationTable, band_select,
                     build_knn_graph, gft_basis, haversine_km, laplacian,
                     project_bandlimited)
 from .harness import (ConfigError, DeviationStats, ExperimentConfig, RunResult, compare,
                       prepare_experiment, run_experiment, synthetic_stations)
 from .io import DataError
-from .noise import SCENARIOS, NoiseModel, build_cw, draw_noise, noiseless, scenario_coefficients
+from .noise import SCENARIOS, NoiseModel, build_cw, noiseless, scenario_coefficients
 from .sampling import (SamplingSet, check_recoverability, greedy_max_lambda_min,
                        random_sampling, sampled_gram)
-from .theory import (TheoryCurve, lms_steady_state, lms_theory_exact, lms_theory_paper,
-                     rls_steady_state, rls_theory_exact, rls_theory_paper,
-                     solve_lms_lyapunov)
+from .theory import (TheoryCurve, lms_theory_exact, lms_theory_paper, rls_theory_exact,
+                     rls_theory_paper)
 
 __all__ = [
     "__version__",
@@ -30,11 +27,10 @@ __all__ = [
     "project_bandlimited",
     "SamplingSet", "check_recoverability",
     "greedy_max_lambda_min", "random_sampling", "sampled_gram",
-    "SCENARIOS", "NoiseModel", "build_cw", "draw_noise", "noiseless", "scenario_coefficients",
-    "LmsState", "RlsState", "SignalModel", "error_signal", "lms_init", "lms_msd_trajectory",
-    "lms_step", "msd", "rls_gain_matrix", "rls_init", "rls_msd_trajectory", "rls_step",
-    "TheoryCurve", "lms_steady_state", "lms_theory_exact", "lms_theory_paper",
-    "rls_steady_state", "rls_theory_exact", "rls_theory_paper", "solve_lms_lyapunov",
+    "SCENARIOS", "NoiseModel", "build_cw", "noiseless", "scenario_coefficients",
+    "SignalModel", "lms_msd_trajectory", "rls_gain_matrix", "rls_msd_trajectory",
+    "TheoryCurve", "lms_theory_exact", "lms_theory_paper",
+    "rls_theory_exact", "rls_theory_paper",
     "ConfigError", "DataError", "DeviationStats", "ExperimentConfig",
     "RunResult", "compare", "prepare_experiment", "run_experiment", "synthetic_stations",
 ]

@@ -6,8 +6,8 @@ manifest), theory (theory curves only), compare (tail deviation report for
 a results CSV).
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable or
-unreadable path and a LinAlgError included), 3 input data error or missing
-file.
+unreadable path, an output path naming an input or another output, and a
+LinAlgError included), 3 input data error or missing file.
 """
 
 import argparse
@@ -29,13 +29,6 @@ from .harness import (DEFAULT_BURN_IN, ConfigError, _to_db, prepare_experiment,
 DEFAULT_CACHE_DIR = ".gspest-cache"
 
 
-def _resolve_stations(config, stations_flag):
-    path = stations_flag or config.stations_csv
-    if path is not None:
-        return gio.read_station_csv(path)
-    return synthetic_stations(config.n_stations, config.stations_seed)
-
-
 def _cached_basis(cache_dir, stations, k):
     basis = gio.load_graph_cache(cache_dir, stations, k)
     if basis is None:
@@ -55,18 +48,36 @@ def _apply_overrides(config, args):
     return replace(config, **overrides) if overrides else config
 
 
-def _inputs(args, *out_paths):
+def _require_distinct(inputs, outputs):
+    """Refuse an output path that names an input or another output (after
+    resolving links), since writing it would destroy that file. Both are
+    (label, path) pairs; an input path of None is skipped."""
+    seen = {os.path.realpath(path): f"{label} {path}" for label, path in inputs if path}
+    for label, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{label} {path} is the same file as {seen[real]}")
+        seen[real] = f"{label} {path}"
+
+
+def _inputs(args, *outputs):
     """Config (with overrides), station table and graph basis of a run or
-    theory command. Each output path is opened for appending first, so one
-    that cannot be written fails before anything is computed."""
+    theory command. Each (label, path) output must name no input or other
+    output and is opened for appending first, so a bad one fails before
+    anything is computed."""
     config = _apply_overrides(gio.load_config(args.config), args)
-    for path in out_paths:
+    stations_path = args.stations or config.stations_csv
+    _require_distinct([("config", args.config), ("stations", stations_path)], outputs)
+    for _, path in outputs:
         existed = os.path.lexists(path)
         with open(path, "a", encoding="utf-8"):
             pass
         if not existed:
             os.remove(path)
-    stations = _resolve_stations(config, args.stations)
+    if stations_path is None:
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+    else:
+        stations = gio.read_station_csv(stations_path)
     return config, stations, _cached_basis(args.cache_dir, stations, config.k)
 
 
@@ -93,7 +104,7 @@ def cmd_build_graph(args) -> int:
 
 def cmd_run(args) -> int:
     manifest_path = args.manifest or (args.out + ".manifest.json")
-    config, stations, basis = _inputs(args, args.out, manifest_path)
+    config, stations, basis = _inputs(args, ("--out", args.out), ("--manifest", manifest_path))
     started = time.monotonic()
     result = run_experiment(config, stations, basis)
     duration = time.monotonic() - started
@@ -108,7 +119,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config, stations, basis = _inputs(args, args.out)
+    config, stations, basis = _inputs(args, ("--out", args.out))
     paper, exact = theory_curves(config, prepare_experiment(config, stations, basis))
     t = np.arange(1, config.iterations + 1)
     gio.write_theory_csv(args.out, t, _to_db(paper.values), _to_db(exact.values))
@@ -117,6 +128,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.json:
+        _require_distinct([("results", args.results_csv)], [("--json", args.json)])
     cols = gio.read_results_csv(args.results_csv)
     if not 0 <= args.burn_in < 1:
         raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])

@@ -10,7 +10,6 @@ band basis is orthonormal.
 """
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,51 +147,10 @@ class SignalModel:
         raise ValueError(f"algorithm must be 'lms' or 'rls', got {algorithm!r}")
 
 
-@dataclass(frozen=True)
-class LmsState:
-    s_hat: np.ndarray
-    mu: float
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_hat", _frozen_array(self.s_hat))
-        if self.t < 1:
-            raise ValueError("iteration counter starts at 1")
-
-
-@dataclass(frozen=True)
-class RlsState:
-    s_hat: np.ndarray
-    lam: float
-    m_mat: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        s_hat = _frozen_array(self.s_hat)
-        m_mat = _frozen_array(self.m_mat)
-        object.__setattr__(self, "s_hat", s_hat)
-        object.__setattr__(self, "m_mat", m_mat)
-        if self.t < 1:
-            raise ValueError("iteration counter starts at 1")
-        if m_mat.shape != (s_hat.shape[0], s_hat.shape[0]):
-            raise ValueError("gain matrix shape does not match state")
-        if np.max(np.abs(m_mat - m_mat.T)) > 1e-10 * (1.0 + float(np.max(np.abs(m_mat)))):
-            raise ValueError("gain matrix must be symmetric")
-        np.linalg.cholesky(m_mat + m_mat.T)  # raises if not positive definite
-
-
-def lms_init(model: SignalModel, mu: float) -> LmsState:
-    """Zero initial estimate at t = 1. Any finite mu is allowed; stability is
-    the caller's concern (divergence studies are legitimate)."""
-    if not np.isfinite(mu):
-        raise ValueError("step size must be finite")
-    return LmsState(s_hat=np.zeros(model.f), mu=float(mu), t=1)
-
-
 def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> np.ndarray:
     """Inverse of the noise-weighted sampled Gram matrix, by direct inversion.
 
-    The stepwise oracle's gain, computed apart from SignalModel.gain.
+    The stepwise oracle's gain (tests/oracle.py), apart from SignalModel.gain.
     Requires a recoverable sampling set and strictly positive variances
     (the weighting divides by them).
     """
@@ -209,50 +167,6 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
     return np.linalg.inv(u_s.T @ (u_s / c_w[sel, None]))
 
 
-def rls_init(model: SignalModel, lam: float) -> RlsState:
-    """Zero initial estimate at t = 1 with the precomputed gain matrix.
-
-    The forgetting factor must satisfy 0 < lam <= 1; values below 0.5 are
-    accepted with a warning since they barely average the noise.
-    """
-    if not 0 < lam <= 1:
-        raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {lam}")
-    if lam < 0.5:
-        warnings.warn(f"forgetting factor {lam} is unusually small", stacklevel=2)
-    m_mat = rls_gain_matrix(model.band, model.sampling, model.noise.c_w)
-    return RlsState(s_hat=np.zeros(model.f), lam=float(lam), m_mat=m_mat, t=1)
-
-
-def error_signal(model: SignalModel, s_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Observation error on the sampled nodes, zero elsewhere."""
-    resid = model.x_o + w - model.band.u_f @ s_hat
-    out = np.zeros(model.n)
-    sel = list(model.sampling.indices)
-    out[sel] = resid[sel]
-    return out
-
-
-def lms_step(state: LmsState, model: SignalModel, w: np.ndarray) -> LmsState:
-    """One fixed-step update along the band projection of the error."""
-    e = error_signal(model, state.s_hat, w)
-    s_next = state.s_hat + state.mu * (model.band.u_f.T @ e)
-    return LmsState(s_hat=s_next, mu=state.mu, t=state.t + 1)
-
-
-def rls_step(state: RlsState, model: SignalModel, w: np.ndarray) -> RlsState:
-    """One geometrically weighted update of the noise-whitened error."""
-    e = error_signal(model, state.s_hat, w)
-    g = model.band.u_f.T @ (e / model.noise.c_w)
-    s_next = state.s_hat + (1.0 - state.lam) * (state.m_mat @ g)
-    return RlsState(s_hat=s_next, lam=state.lam, m_mat=state.m_mat, t=state.t + 1)
-
-
-def msd(model: SignalModel, s_hat: np.ndarray) -> float:
-    """Squared node-domain deviation of the reconstruction from the target."""
-    r = model.band.u_f @ np.asarray(s_hat, dtype=float) - model.x_o
-    return float(r @ r)
-
-
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
                    rngs: Sequence[np.random.Generator], frozen_noise: bool) -> np.ndarray:
     """Squared norm of the error delta <- decay * delta + w_S @ gain per step,
@@ -260,14 +174,15 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
 
     Only the m sampled nodes' noise enters an update, so run r draws only
     from rngs[r], m standard normals per step in step order, one per sampled
-    node in ascending index order. Stepwise and batched runs therefore see
-    identical noise whatever the batch. The sqrt(c_s) scaling folds into one
-    (m, f) noise map, so a step's noise enters as z @ noise_map. With frozen
-    noise each run draws one block of m and one (runs, f) term enters every
-    step. Otherwise runs and steps go in tiles of side x side, side =
-    isqrt(n_iter - 1): a tile holds at most the (n_iter - 1) * m draws of one
-    whole run, and takes one matrix product. The recursion's coordinates
-    are orthonormal, so the squared norm is the MSD.
+    node in ascending index order, as tests/oracle.py's sampled_noise does,
+    so stepwise and batched runs see identical noise whatever the batch. The
+    sqrt(c_s) scaling folds into one (m, f) noise map, so a step's noise
+    enters as z @ noise_map. With frozen noise each run draws one block of m
+    and one (runs, f) term enters every step. Otherwise runs and steps go in
+    tiles of side x side, side = isqrt(n_iter - 1): a tile holds at most the
+    (n_iter - 1) * m draws of one whole run, and takes one matrix product.
+    The recursion's coordinates are orthonormal, so the squared norm is the
+    MSD.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -317,7 +232,7 @@ def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
     Run r draws its noise only from rngs[r]. Entry 0 of each curve is the
     error of the zero initial estimate at t = 1; each later entry follows
     one update with a fresh noise draw (or the run's one draw, with frozen
-    noise). Algebraically identical to iterating lms_step and recording msd.
+    noise). Identical to iterating the oracle's lms_step (tests/oracle.py).
     """
     return _msd_recursion(model, model.recursion("lms", mu), n_iter,
                           rngs, frozen_noise)
@@ -328,6 +243,6 @@ def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
                        frozen_noise: bool = False) -> np.ndarray:
     """MSD curves of RLS runs, one per generator, computed in band
     coordinates; same conventions and shape as the LMS trajectory,
-    identical to iterating rls_step."""
+    identical to iterating the oracle's rls_step (tests/oracle.py)."""
     return _msd_recursion(model, model.recursion("rls", lam), n_iter,
                           rngs, frozen_noise)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 
@@ -245,15 +246,18 @@ def _cache_basename(digest: str, k: int) -> str:
 
 
 def load_graph_cache(cache_dir, stations: StationTable, k: int) -> GftBasis | None:
-    """Return the cached Laplacian spectrum, or None on miss/mismatch."""
+    """Return the cached Laplacian spectrum, or None on a miss: no file, a
+    mismatch, or a file that cannot be read or validated, which the caller
+    then rebuilds and overwrites."""
     digest = station_digest(stations)
     path = os.path.join(cache_dir, _cache_basename(digest, k) + ".npz")
-    if not os.path.exists(path):
+    try:  # a missing file raises FileNotFoundError, an OSError
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["digest"]) != digest or int(data["k"]) != k:
+                return None
+            return GftBasis(eigenvalues=data["eigenvalues"], vectors=data["vectors"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["digest"]) != digest or int(data["k"]) != k:
-            return None
-        return GftBasis(eigenvalues=data["eigenvalues"], vectors=data["vectors"])
 
 
 def save_graph_cache(cache_dir, stations: StationTable, k: int, basis: GftBasis) -> str:

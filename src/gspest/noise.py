@@ -9,7 +9,7 @@ with that fixed diagonal covariance.
 The estimators see only the sampled nodes, so a simulated run draws its
 noise there alone: m standard normals per step, one per sampled node in
 ascending index order, scaled by sqrt(c_w) on those nodes (see
-estimators._msd_recursion). draw_noise draws every node.
+estimators._msd_recursion). tests/oracle.py's draw_noise draws every node.
 """
 
 import math
@@ -45,10 +45,6 @@ class NoiseModel:
     @property
     def n(self) -> int:
         return self.c_w.shape[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.c_w == 0))
 
 
 def build_cw(n_a: float, n_b: float, n: int, seed: int) -> NoiseModel:
@@ -92,12 +88,3 @@ def scenario_coefficients(scenario) -> tuple[float, float]:
     if not all(math.isfinite(v) and v >= 0 for v in pair):
         raise ValueError(f"scenario coefficients must be finite and nonnegative, got {pair}")
     return pair
-
-
-def draw_noise(model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One fresh noise vector w with E[w] = 0 and E[w w^T] = diag(c_w).
-
-    It draws n normals, one for every node, so it is not a simulated run's
-    stream, which draws only on the m sampled nodes.
-    """
-    return np.sqrt(model.c_w) * rng.standard_normal(model.n)

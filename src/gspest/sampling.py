@@ -50,14 +50,6 @@ class SamplingSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        out[list(self.indices)] = True
-        return out
-
-    def indicator(self) -> np.ndarray:
-        return self.mask().astype(float)
-
 
 def sampled_gram(band: BandBasis, sampling: SamplingSet) -> np.ndarray:
     """Gram matrix of the selected basis rows (f x f, PSD, eigenvalues <= 1)."""

@@ -1,8 +1,8 @@
 """Closed-form transient MSD curves for the LMS and RLS estimators.
 
-Every curve and steady state reads the experiment's SignalModel, whose
-recursion() gives the one error recursion both estimators unroll,
-delta <- d * delta + w_S @ G with d diagonal and G = step * R. With
+Every curve reads the experiment's SignalModel, whose recursion() gives the
+one error recursion both estimators unroll, delta <- d * delta + w_S @ G
+with d diagonal and G = step * R; limits() gives its steady states. With
 q = diag(R^T C_S R), p = R^T sqrt(c_S) and the partial sums
 S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
 
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ErrorRecursion, SignalModel
-from .graph import BandBasis, _frozen_array
-from .sampling import RECOVERABILITY_TOL, SamplingSet, sampled_gram
+from .graph import _frozen_array
 
 _MODES = ("paper", "exact")
 
@@ -38,16 +37,12 @@ class TheoryCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_mode(self.mode)
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
         values = _frozen_array(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("values must be a non-empty vector")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
 
 
 def _geometric(base: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,46 +121,3 @@ def rls_theory_exact(model: SignalModel, lam: float, t_max: int) -> TheoryCurve:
     """Exact expected MSD of RLS under independently redrawn noise. At
     lam = 1 no update happens and the curve is constant."""
     return _curve(model, "rls", "exact", lam, t_max)
-
-
-def solve_lms_lyapunov(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray,
-                       mu: float, tol: float = 1e-15, max_iters: int = 100) -> np.ndarray:
-    """Fixed point P of P = A P A^T + mu^2 Q for the LMS error covariance.
-
-    Accelerated fixed-point iteration: repeatedly folds the partial sum into
-    itself while squaring A, which converges in O(log) steps for any stable
-    mu. Raises for unstable mu.
-    """
-    c_w = np.asarray(c_w, dtype=float)
-    gram = sampled_gram(band, sampling)
-    lam = np.linalg.eigvalsh(gram)
-    if lam[0] <= RECOVERABILITY_TOL:
-        raise ValueError(f"sampling set not recoverable (lambda_min={lam[0]:.3e})")
-    radius = float(np.max(np.abs(1.0 - mu * lam)))
-    if radius >= 1.0:
-        raise ValueError(f"step size {mu} is unstable (spectral radius {radius:.6f})")
-    sel = list(sampling.indices)
-    scaled = band.u_f[sel, :] * np.sqrt(c_w[sel])[:, None]
-    p_mat = (mu**2) * (scaled.T @ scaled)
-    a_k = np.eye(band.f) - mu * gram
-    for _ in range(max_iters):
-        incr = a_k @ p_mat @ a_k.T
-        p_mat = p_mat + incr
-        scale = float(np.linalg.norm(p_mat, "fro"))
-        if float(np.linalg.norm(incr, "fro")) <= tol * max(scale, 1e-300):
-            break
-        a_k = a_k @ a_k
-    return (p_mat + p_mat.T) / 2
-
-
-def lms_steady_state(model: SignalModel, mu: float, mode: str) -> float:
-    """Large-t limit of the LMS theory curve in the requested mode; needs a
-    stable mu."""
-    _check_mode(mode)
-    return limits(model.recursion("lms", mu))[mode]  # the start is forgotten
-
-
-def rls_steady_state(model: SignalModel, lam: float, mode: str) -> float:
-    """Large-t limit of the RLS theory curve; requires lam < 1 to converge."""
-    _check_mode(mode)
-    return limits(model.recursion("rls", lam))[mode]

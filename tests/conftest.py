@@ -41,16 +41,6 @@ def random_orthonormal(n, f, seed):
     return BandBasis(f=f, u_f=q)
 
 
-def sampled_noise(model, rng):
-    """One step of a run's noise stream as an n-vector: sqrt(c_S) times m
-    standard normals on the sampled nodes, in index order, zero elsewhere.
-    Off-sample noise never enters an update, so a run draws none of it."""
-    sel = list(model.sampling.indices)
-    w = np.zeros(model.n)
-    w[sel] = np.sqrt(model.noise.c_w[sel]) * rng.standard_normal(len(sel))
-    return w
-
-
 @pytest.fixture(scope="session")
 def stations10():
     return synthetic_stations(10, 2018)

@@ -33,29 +33,24 @@ from gspest import (
     band_select,
     build_cw,
     build_knn_graph,
-    draw_noise,
     gft_basis,
     greedy_max_lambda_min,
     laplacian,
-    lms_init,
     lms_msd_trajectory,
-    lms_step,
-    lms_steady_state,
     lms_theory_exact,
     lms_theory_paper,
     noiseless,
     prepare_experiment,
     random_sampling,
     rls_gain_matrix,
-    rls_init,
-    rls_step,
-    rls_steady_state,
     rls_theory_exact,
     run_experiment,
-    solve_lms_lyapunov,
     synthetic_stations,
 )
 from gspest.cli import main
+from gspest.theory import limits
+
+from oracle import draw_noise, lms_init, lms_step, rls_init, rls_step, solve_lms_lyapunov
 
 MASTER_SEED = 42
 
@@ -293,7 +288,7 @@ class TestAcceptance:
         energy = float(model.s_f @ model.s_f)
         mu_max = model.mu_max
         below = lms_theory_exact(model, 0.99 * mu_max, 2000).values
-        steady = lms_steady_state(model, 0.99 * mu_max, "exact")
+        steady = limits(model.recursion("lms", 0.99 * mu_max))["exact"]
         assert np.isfinite(below).all()
         assert below.max() <= max(energy, steady) * (1 + 1e-12)
         assert abs(below[-1] - steady) <= 1e-9 * steady
@@ -327,7 +322,7 @@ class TestAcceptance:
         c_w = model.noise.c_w
         m_trace = float(np.trace(rls_gain_matrix(model.band, model.sampling, c_w)))
         for lam in (0.7, 0.85):
-            steady = rls_steady_state(model, lam, "exact")
+            steady = limits(model.recursion("rls", lam))["exact"]
             assert_allclose(steady, (1 - lam) / (1 + lam) * m_trace, rtol=1e-12)
             tail = rls_theory_exact(model, lam, 10_000).values[-1]
             assert abs(tail - steady) <= 1e-9 * steady
@@ -339,7 +334,7 @@ class TestAcceptance:
         p_inf = solve_lms_lyapunov(model.band, model.sampling, c_w, mu)
         residual = np.linalg.norm(p_inf - (a_mat @ p_inf @ a_mat.T + q_mat))
         assert residual <= 1e-12 * np.linalg.norm(p_inf)
-        assert_allclose(lms_steady_state(model, mu, "exact"),
+        assert_allclose(limits(model.recursion("lms", mu))["exact"],
                         float(np.trace(p_inf)), rtol=1e-12)
 
     def test_c10_byte_identical_reruns(self, tmp_path):

@@ -13,21 +13,16 @@ from gspest import (
     SamplingSet,
     SignalModel,
     check_recoverability,
-    draw_noise,
-    error_signal,
-    lms_init,
     lms_msd_trajectory,
-    lms_step,
-    msd,
     noiseless,
     rls_gain_matrix,
-    rls_init,
     rls_msd_trajectory,
-    rls_step,
 )
 from gspest.harness import _to_db, run_rng
 
-from conftest import random_orthonormal, sampled_noise
+from conftest import random_orthonormal
+from oracle import (LmsState, draw_noise, error_signal, lms_init, lms_step, msd, rls_init,
+                    rls_step, sampled_noise, sampling_mask)
 
 # Noise-free ground truth for the two-node fixture. With step size 25/16 the
 # per-iteration error factor is 7/16 exactly, so MSD(t) = 4 * (7/16)^(2t-2).
@@ -117,7 +112,7 @@ class TestErrorSignal:
         rng = np.random.default_rng(5)
         w = draw_noise(model.noise, rng)
         e = error_signal(model, np.zeros(model.f), w)
-        mask = model.sampling.mask()
+        mask = sampling_mask(model.sampling)
         assert np.all(e[~mask] == 0)
         resid = model.x_o + w
         assert_allclose(e[mask], resid[mask], rtol=1e-12)
@@ -333,7 +328,7 @@ class TestNoiseStream:
     def test_unsampled_variances_do_not_move_the_curves(self, setup10, trajectory, param,
                                                         frozen):
         model = setup10
-        mask = model.sampling.mask()
+        mask = sampling_mask(model.sampling)
         assert not mask.all()
         c_w = np.where(mask, model.noise.c_w, 7.0 * model.noise.c_w + 3.0)
         other = replace(model, noise=NoiseModel(c_w=c_w))
@@ -351,7 +346,7 @@ class TestNoiseStream:
     ], ids=["lms", "rls"])
     def test_steps_ignore_off_sample_noise(self, setup10, init, step, param):
         model = setup10
-        mask = model.sampling.mask()
+        mask = sampling_mask(model.sampling)
         rng = np.random.default_rng(31)
         full = sampled = init(model, param)
         for _ in range(10):
@@ -370,8 +365,6 @@ class TestContraction:
     @settings(max_examples=40)
     def test_noise_free_lms_step_contracts(self, setup10, coeffs, mu_frac):
         # inside the stable range every noise-free step shrinks the error
-        from gspest import LmsState
-
         model = setup10
         mu_max = model.mu_max
         s_hat = model.s_f + np.asarray(coeffs)

@@ -21,7 +21,6 @@ from gspest import (
     build_knn_graph,
     gft_basis,
     laplacian,
-    lms_steady_state,
     prepare_experiment,
     run_experiment,
     synthetic_stations,
@@ -29,6 +28,7 @@ from gspest import (
 from gspest import io as gio
 from gspest import cli
 from gspest.cli import main
+from gspest.theory import limits
 
 from conftest import SMALL_CONFIG
 
@@ -313,7 +313,7 @@ class TestManifest:
         assert manifest["spectral_radius"] == float(
             np.max(np.abs(1 - config.param * model.gram_eigh[0])))
         assert manifest["steady_state"] == {
-            mode: lms_steady_state(model, config.param, mode) for mode in ("paper", "exact")}
+            mode: limits(model.recursion("lms", config.param))[mode] for mode in ("paper", "exact")}
         steady = manifest["steady_state"]
         assert manifest["predicted_gap_db"] == 10 * math.log10(steady["paper"] / steady["exact"])
 
@@ -378,6 +378,26 @@ class TestGraphCache:
         hit = gio.load_graph_cache(tmp_path, stations, 3)
         assert hit is not None
         assert_array_equal(hit.vectors, basis.vectors)
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_digest"])
+    def test_unreadable_cache_file_is_rebuilt(self, tmp_path, command, damage):
+        config_path = write_config(tmp_path, iterations=5, runs=1)
+        cache = tmp_path / "cache"
+        clean, again = tmp_path / "clean.csv", tmp_path / "again.csv"
+        assert main([command, config_path, "--out", str(clean), "--cache-dir", str(cache)]) == 0
+        (npz,) = cache.glob("graph_*.npz")
+        if damage == "truncated":
+            npz.write_bytes(npz.read_bytes()[:200])
+        else:
+            with np.load(npz) as data:
+                kept = {key: data[key] for key in data.files if key != "digest"}
+            np.savez(npz, **kept)
+        assert main([command, config_path, "--out", str(again), "--cache-dir", str(cache)]) == 0
+        assert again.read_bytes() == clean.read_bytes()
+        config = small_config()
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        assert gio.load_graph_cache(cache, stations, config.k) is not None
 
     def test_build_graph_writes_spectrum_and_lists(self, tmp_path, capsys):
         stations_path = write_stations(tmp_path)
@@ -713,6 +733,36 @@ class TestCliErrors:
                      "--manifest", str(tmp_path / "missing" / "m.json")])
         assert code == 3
         assert not out.exists()  # the probe of --out leaves nothing behind
+
+    def test_run_output_naming_another_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_experiment ran before the paths were checked")
+
+        config_path = write_config(tmp_path, iterations=5, runs=1)
+        cache = tmp_path / "cache"
+        out = tmp_path / "res.csv"
+        assert main(["run", config_path, "--out", str(out), "--cache-dir", str(cache)]) == 0
+        kept = {path: path.read_bytes() for path in (out, tmp_path / "config.json")}
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main(["run", config_path, "--out", str(out), "--manifest", str(out),
+                     "--cache-dir", str(cache)]) == 2
+        assert main(["run", config_path, "--out", config_path, "--cache-dir", str(cache)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --manifest {out} is the same file as --out {out}",
+            f"error: --out {config_path} is the same file as config {config_path}"]
+        assert {path: path.read_bytes() for path in kept} == kept
+
+    def test_compare_json_naming_its_input_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "res.csv"
+        assert main(["run", write_config(tmp_path, iterations=5, runs=1), "--out", str(results),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        before = results.read_bytes()
+        capsys.readouterr()
+        assert main(["compare", str(results), "--json", str(results)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --json {results} is the same file as results {results}"]
+        assert results.read_bytes() == before
 
     def test_compare_directory_exits_2(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path)]) == 2

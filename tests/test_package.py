@@ -1,5 +1,6 @@
 """Package hygiene: no module imports a name it never uses, every exported
-name resolves, and no constructor freezes its caller's arrays."""
+name resolves and has a caller outside the tests, and no constructor freezes
+its caller's arrays."""
 
 import ast
 import pathlib
@@ -10,8 +11,11 @@ import pytest
 import gspest
 from gspest.estimators import ErrorRecursion
 
+import oracle
+
 SRC = pathlib.Path(gspest.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +48,29 @@ def test_every_exported_name_resolves():
     assert len(set(gspest.__all__)) == len(gspest.__all__)
 
 
+def names_referenced_outside_tests() -> set[str]:
+    """Every name the package modules, scripts/ and perfbench/ refer to (as a
+    bare name or an attribute), plus the strings of perfbench/tracer.py, which
+    looks functions up by name."""
+    paths = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif path.name == "tracer.py" and isinstance(node, ast.Constant):
+                names.add(node.value)
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_tests():
+    # a name only the tests call belongs in the tests (see tests/oracle.py)
+    assert sorted(set(gspest.__all__) - names_referenced_outside_tests()) == []
+
+
 def _constructors(arr):
     """Each frozen dataclass that stores arrays, built from arrays made by arr."""
     band = gspest.BandBasis(f=1, u_f=np.array([[0.6], [0.8]]))
@@ -57,8 +84,8 @@ def _constructors(arr):
         "SignalModel": lambda: gspest.SignalModel(
             band=band, s_f=arr([2.0]),
             sampling=gspest.SamplingSet(indices=(0,), n=2), noise=gspest.noiseless(2)),
-        "LmsState": lambda: gspest.LmsState(s_hat=arr([0.0]), mu=0.5, t=1),
-        "RlsState": lambda: gspest.RlsState(s_hat=arr([0.0]), lam=0.5, m_mat=arr([[1.0]]), t=1),
+        "LmsState": lambda: oracle.LmsState(s_hat=arr([0.0]), mu=0.5, t=1),
+        "RlsState": lambda: oracle.RlsState(s_hat=arr([0.0]), lam=0.5, m_mat=arr([[1.0]]), t=1),
         "TheoryCurve": lambda: gspest.TheoryCurve(mode="exact", values=arr([4.0, 1.0])),
         "ErrorRecursion": lambda: ErrorRecursion(decay=arr([0.5]), step=0.5, response=arr([[1.0]]),
                                                  delta0=arr([-2.0]), c_s=arr([0.25])),

@@ -88,11 +88,9 @@ class TestSamplingSet:
         with pytest.raises(ValueError):
             SamplingSet(indices=(0, 4), n=4)
 
-    def test_mask_and_indicator(self):
+    def test_size(self):
         s = SamplingSet(indices=(0, 2), n=4)
         assert s.size == 2
-        assert s.mask().tolist() == [True, False, True, False]
-        assert s.indicator().tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 class TestGramAndRecoverability:

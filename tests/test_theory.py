@@ -18,17 +18,17 @@ from gspest import (
     SignalModel,
     TheoryCurve,
     lms_msd_trajectory,
-    lms_steady_state,
     lms_theory_exact,
     lms_theory_paper,
     prepare_experiment,
     rls_gain_matrix,
-    rls_steady_state,
     rls_theory_exact,
     rls_theory_paper,
-    solve_lms_lyapunov,
 )
 from gspest.sampling import SamplingSet, sampled_gram
+from gspest.theory import limits
+
+from oracle import sampling_mask, solve_lms_lyapunov
 
 
 def model_parts(m):
@@ -51,7 +51,7 @@ def naive_lms_paper(band, sampling, s_f, c_w, mu, t_max):
     gram = sampled_gram(band, sampling)
     a_mat = np.eye(band.f) - mu * gram
     gram_inv = np.linalg.inv(gram)
-    d_s = np.diag(sampling.indicator())
+    d_s = np.diag(sampling_mask(sampling).astype(float))
     root = np.sqrt(np.asarray(c_w, dtype=float))
     out = np.empty(t_max)
     for t in range(1, t_max + 1):
@@ -161,7 +161,7 @@ class TestLmsCurves:
         assert curve[-1] > 1e3 * curve[0]
 
     def test_exact_converges_monotonically_near_tail(self, setup10):
-        steady = lms_steady_state(setup10, 0.5, "exact")
+        steady = limits(setup10.recursion("lms", 0.5))["exact"]
         curve = lms_theory_exact(setup10, 0.5, 300).values
         gap = np.abs(curve - steady)
         assert np.all(np.diff(gap[50:]) <= 1e-12 * steady)
@@ -171,7 +171,8 @@ class TestLmsSteadyState:
     def test_exact_matches_lyapunov_trace(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
         p_inf = solve_lms_lyapunov(band, sampling, c_w, 0.5)
-        assert_allclose(lms_steady_state(setup10, 0.5, "exact"), np.trace(p_inf), rtol=1e-12)
+        assert_allclose(limits(setup10.recursion("lms", 0.5))["exact"], np.trace(p_inf),
+                        rtol=1e-12)
 
     def test_lyapunov_residual(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
@@ -191,12 +192,12 @@ class TestLmsSteadyState:
             solve_lms_lyapunov(band, sampling, c_w, 1.01 * mu_max)
 
     def test_exact_matches_curve_tail(self, setup10):
-        steady = lms_steady_state(setup10, 0.5, "exact")
+        steady = limits(setup10.recursion("lms", 0.5))["exact"]
         curve = lms_theory_exact(setup10, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
     def test_paper_mode_matches_curve_tail(self, setup10):
-        steady = lms_steady_state(setup10, 0.5, "paper")
+        steady = limits(setup10.recursion("lms", 0.5))["paper"]
         curve = lms_theory_paper(setup10, 0.5, 4000).values
         assert_allclose(curve[-1], steady, rtol=1e-9)
 
@@ -205,10 +206,10 @@ class TestLmsSteadyState:
         # the covariance, computable by direct matrix algebra
         band, sampling, _, c_w = model_parts(setup10)
         gram_inv = np.linalg.inv(sampled_gram(band, sampling))
-        d_s = np.diag(sampling.indicator())
+        d_s = np.diag(sampling_mask(sampling).astype(float))
         mid = band.u_f.T @ d_s @ np.diag(c_w) @ d_s @ band.u_f
         want = float(np.trace(gram_inv @ mid @ gram_inv))
-        got = lms_steady_state(setup10, 0.5, "paper")
+        got = limits(setup10.recursion("lms", 0.5))["paper"]
         assert_allclose(got, want, rtol=1e-10)
 
     def test_flat_spectrum_closed_form(self):
@@ -221,21 +222,17 @@ class TestLmsSteadyState:
         sigma_sq, mu = 0.3, 0.7
         flat = SignalModel(band=band, s_f=np.zeros(2), sampling=sampling,
                            noise=NoiseModel(np.full(6, sigma_sq)))
-        got = lms_steady_state(flat, mu, "exact")
+        got = limits(flat.recursion("lms", mu))["exact"]
         assert_allclose(got, 2 * mu * sigma_sq / (2 - mu), rtol=1e-12)
 
     def test_zero_noise_limit_is_zero(self, setup10):
         quiet = with_noise(setup10, np.zeros(setup10.n))
-        assert lms_steady_state(quiet, 0.5, "exact") == 0.0
-        assert lms_steady_state(quiet, 0.5, "paper") == 0.0
-
-    def test_mode_validation(self, setup10):
-        with pytest.raises(ValueError):
-            lms_steady_state(setup10, 0.5, "average")
+        assert limits(quiet.recursion("lms", 0.5))["exact"] == 0.0
+        assert limits(quiet.recursion("lms", 0.5))["paper"] == 0.0
 
     def test_unstable_step_rejected(self, setup10):
         with pytest.raises(ValueError):
-            lms_steady_state(setup10, 1.01 * setup10.mu_max, "exact")
+            limits(setup10.recursion("lms", 1.01 * setup10.mu_max))["exact"]
 
 
 class TestRlsCurves:
@@ -285,7 +282,7 @@ class TestRlsCurves:
 class TestRlsSteadyState:
     def test_paper_mode_is_lambda_invariant(self, setup10):
         band, sampling, _, c_w = model_parts(setup10)
-        vals = [rls_steady_state(setup10, lam, "paper") for lam in (0.3, 0.6, 0.9)]
+        vals = [limits(setup10.recursion("rls", lam))["paper"] for lam in (0.3, 0.6, 0.9)]
         assert vals[0] == vals[1] == vals[2]
         m_mat = rls_gain_matrix(band, sampling, c_w)
         assert_allclose(vals[0], np.trace(m_mat), rtol=1e-12)
@@ -295,17 +292,17 @@ class TestRlsSteadyState:
         m_mat = rls_gain_matrix(band, sampling, c_w)
         for lam in (0.55, 0.85):
             want = (1 - lam) / (1 + lam) * float(np.trace(m_mat))
-            assert_allclose(rls_steady_state(setup10, lam, "exact"), want, rtol=1e-12)
+            assert_allclose(limits(setup10.recursion("rls", lam))["exact"], want, rtol=1e-12)
 
     def test_exact_mode_matches_recursion_fixed_point(self, setup10):
         band, sampling, s_f, c_w = model_parts(setup10)
         lam = 0.7
         tail = naive_rls_exact(band, sampling, s_f, c_w, lam, 400)[-1]
-        assert_allclose(rls_steady_state(setup10, lam, "exact"), tail, rtol=1e-10)
+        assert_allclose(limits(setup10.recursion("rls", lam))["exact"], tail, rtol=1e-10)
 
     def test_lambda_one_rejected(self, setup10):
         with pytest.raises(ValueError):
-            rls_steady_state(setup10, 1.0, "exact")
+            limits(setup10.recursion("rls", 1.0))["exact"]
 
 
 @pytest.fixture(scope="module")
