@@ -14,10 +14,11 @@ import time
 from gspest import (ExperimentConfig, build_knn_graph, gft_basis, laplacian,
                     run_experiment, synthetic_stations)
 from gspest import io as gio
+from gspest.estimators import ESTIMATORS
 
 CASES = {
-    1: dict(k=8, bandwidth=200, mus=(0.43, 1.57), lams=(0.61, 0.85)),
-    2: dict(k=16, bandwidth=160, mus=(0.2, 1.1), lams=(0.55, 0.79)),
+    1: dict(k=8, bandwidth=200, params={"lms": (0.43, 1.57), "rls": (0.61, 0.85)}),
+    2: dict(k=16, bandwidth=160, params={"lms": (0.2, 1.1), "rls": (0.55, 0.79)}),
 }
 ITERATIONS = {"lms": 1000, "rls": 200}
 
@@ -31,8 +32,8 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=50, help="Monte Carlo runs per row")
     parser.add_argument("--scenarios", nargs="+", default=["i", "ii", "iii"],
                         choices=["i", "ii", "iii"])
-    parser.add_argument("--algorithms", nargs="+", default=["lms", "rls"],
-                        choices=["lms", "rls"])
+    parser.add_argument("--algorithms", nargs="+", default=list(ESTIMATORS),
+                        choices=list(ESTIMATORS))
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -51,9 +52,8 @@ def main() -> int:
           f"{'secs':>6}")
     for algorithm in args.algorithms:
         for case, spec in CASES.items():
-            params = spec["mus"] if algorithm == "lms" else spec["lams"]
             for scenario in args.scenarios:
-                for param in params:
+                for param in spec["params"][algorithm]:
                     config = ExperimentConfig(
                         algorithm=algorithm, param=param, k=spec["k"],
                         bandwidth=spec["bandwidth"], sample_size=210,

@@ -1,16 +1,16 @@
 """Online estimators that track a bandlimited graph signal from noisy samples.
 
-Both estimators keep a vector of band coefficients s_hat and refine it from
-the sampled, noisy observation error. The LMS update takes a fixed step
+Every estimator keeps a vector of band coefficients s_hat and refines it
+from the sampled, noisy observation error. The LMS update takes a fixed step
 along the projected error; the RLS update weights the error by the inverse
 noise covariance through a fixed gain matrix and forgets the past
-geometrically. Estimation error is tracked as the squared node-domain
-deviation (MSD), which equals the squared coefficient deviation because the
-band basis is orthonormal.
+geometrically. ESTIMATORS holds each one's rules. Estimation error is
+tracked as the squared node-domain deviation (MSD), which equals the squared
+coefficient deviation because the band basis is orthonormal.
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +23,7 @@ from .sampling import RECOVERABILITY_TOL, SamplingSet, check_recoverability, sam
 
 @dataclass(frozen=True)
 class ErrorRecursion:
-    """Error recursion delta <- decay * delta + w_S @ gain of one estimator.
+    """Error recursion delta <- decay * delta + w_S @ (step * response).
 
     w_S is the step's noise on the sampled nodes (variances c_s) and delta0
     the error of the zero initial estimate. The f coordinates are
@@ -41,19 +41,11 @@ class ErrorRecursion:
         for name in ("decay", "response", "delta0", "c_s"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
-    @property
-    def gain(self) -> np.ndarray:
-        return self.step * self.response
-
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Everything fixed during a run: target signal, sampling set, noise law.
-
-    The sampled Gram matrix U_S^T U_S is decomposed once, on first use.
-    recursion() hands out each estimator's error recursion, which is
-    diagonal: LMS in the Gram eigenbasis V, RLS in band coordinates.
-    """
+    """Everything fixed during a run: target signal, sampling set, noise law;
+    the sampled Gram matrix U_S^T U_S is decomposed once, on first use."""
 
     band: BandBasis
     s_f: np.ndarray  # true band coefficients, shape (f,)
@@ -78,11 +70,6 @@ class SignalModel:
     @property
     def f(self) -> int:
         return self.band.f
-
-    @cached_property
-    def x_o(self) -> np.ndarray:
-        """True bandlimited node signal u_f @ s_f, shape (n,), read-only."""
-        return _frozen_array(self.band.u_f @ self.s_f)
 
     @cached_property
     def rows(self) -> np.ndarray:  # U_S, the sampled basis rows, shape (m, f)
@@ -110,11 +97,8 @@ class SignalModel:
 
     @cached_property
     def gain(self) -> np.ndarray:
-        """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve; needs a recoverable
-        set and strictly positive variances (the weighting divides by them)."""
-        if np.any(self.noise.c_w <= 0):
-            raise ValueError("RLS weighting needs strictly positive noise variances")
-        self.require_recoverable()
+        """RLS gain M = (U_S^T C_S^-1 U_S)^-1, by one solve; recursion() checks
+        the set and the variances before _rls_recursion reads it."""
         rows = self.rows / np.sqrt(self.c_s)[:, None]
         m_inv = rows.T @ rows
         m_inv = (m_inv + m_inv.T) / 2
@@ -122,38 +106,72 @@ class SignalModel:
         return (m_mat + m_mat.T) / 2
 
     def recursion(self, algorithm: str, param: float) -> ErrorRecursion:
-        """Error recursion of LMS (param = mu) or RLS (param = lam) from s_hat = 0.
-
-        LMS: decay 1 - mu * lam_i, step mu, response U_S V, delta0 -V^T s_f.
-        RLS: decay lam, step 1 - lam, response C_S^-1 U_S M, delta0 -s_f.
-        Needs a recoverable set; mu is any finite number, 0 < lam <= 1. Each
-        call builds a new recursion with read-only arrays.
-        """
+        """Error recursion of ESTIMATORS[algorithm] at param from s_hat = 0,
+        after the checks its record asks for; each call builds a new one with
+        read-only arrays."""
         self.require_recoverable()
-        if algorithm == "lms":
-            if not np.isfinite(param):
-                raise ValueError("step size must be finite")
-            lam, v = self.gram_eigh
-            return ErrorRecursion(decay=1.0 - param * lam, step=param,
-                                  response=self.rows @ v, delta0=-(v.T @ self.s_f),
-                                  c_s=self.c_s)
-        if algorithm == "rls":
-            if not 0 < param <= 1:
-                raise ValueError(f"forgetting factor must satisfy 0 < lam <= 1, got {param}")
-            m_mat = self.gain  # checks the variances before they divide
-            return ErrorRecursion(decay=np.full(self.f, param), step=1.0 - param,
-                                  response=(self.rows / self.c_s[:, None]) @ m_mat,
-                                  delta0=-self.s_f, c_s=self.c_s)
-        raise ValueError(f"algorithm must be 'lms' or 'rls', got {algorithm!r}")
+        est = estimator(algorithm)
+        if error := est.param_error(param):
+            raise ValueError(error)
+        if est.positive_noise and np.any(self.noise.c_w <= 0):
+            raise ValueError(f"{algorithm} weighting needs strictly positive noise variances")
+        return est.build(self, param)
+
+
+def _lms_recursion(model: SignalModel, mu: float) -> ErrorRecursion:  # Gram eigenbasis V
+    lam, v = model.gram_eigh
+    return ErrorRecursion(decay=1.0 - mu * lam, step=mu, response=model.rows @ v,
+                          delta0=-(v.T @ model.s_f), c_s=model.c_s)
+
+
+def _rls_recursion(model: SignalModel, lam: float) -> ErrorRecursion:  # band coordinates
+    m_mat = model.gain  # solved on first use, before the weighted rows take memory
+    return ErrorRecursion(decay=np.full(model.f, lam), step=1.0 - lam,
+                          response=(model.rows / model.c_s[:, None]) @ m_mat,
+                          delta0=-model.s_f, c_s=model.c_s)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """The rules of one estimator, each stated once (see ESTIMATORS)."""
+
+    param_name: str
+    in_range: Callable[[float], bool]  # applied to a finite param
+    rule: str  # in_range in words
+    positive_noise: bool  # its weighting divides by the noise variances
+    build: Callable[[SignalModel, float], ErrorRecursion]
+    stability_bound: Callable[[SignalModel], float] | None = None  # stable below it
+
+    def param_error(self, param: float) -> str | None:
+        """The message that refuses param, or None when the range holds."""
+        if not (math.isfinite(param) and self.in_range(param)):
+            return f"{self.param_name} must be finite and satisfy {self.rule}, got {param}"
+        return None
+
+
+# mu = 0 and lam = 1 are each estimator's no-update edge: the MSD stays put
+ESTIMATORS = {
+    "lms": Estimator(param_name="step size", in_range=lambda mu: mu >= 0, rule="mu >= 0",
+                     positive_noise=False, build=_lms_recursion,
+                     stability_bound=lambda model: model.mu_max),
+    "rls": Estimator(param_name="forgetting factor", in_range=lambda lam: 0 < lam <= 1,
+                     rule="0 < lam <= 1", positive_noise=True, build=_rls_recursion),
+}
+
+
+def estimator(algorithm: str) -> Estimator:
+    """The record of algorithm; a ValueError lists the table's keys."""
+    try:
+        return ESTIMATORS[algorithm]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"algorithm must be one of {', '.join(map(repr, ESTIMATORS))}, "
+                         f"got {algorithm!r}") from None
 
 
 def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> np.ndarray:
-    """Inverse of the noise-weighted sampled Gram matrix, by direct inversion.
-
-    The stepwise oracle's gain (tests/oracle.py), apart from SignalModel.gain.
-    Requires a recoverable sampling set and strictly positive variances
-    (the weighting divides by them).
-    """
+    """Inverse of the noise-weighted sampled Gram matrix, by direct inversion:
+    the stepwise oracle's gain (tests/oracle.py), apart from SignalModel.gain.
+    Requires a recoverable set and strictly positive, finite variances."""
     c_w = np.asarray(c_w, dtype=float)
     if c_w.shape != (band.n,):
         raise ValueError(f"c_w shape {c_w.shape} != ({band.n},)")
@@ -169,25 +187,23 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
 
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
                    rngs: Sequence[np.random.Generator], frozen_noise: bool) -> np.ndarray:
-    """Squared norm of the error delta <- decay * delta + w_S @ gain per step,
-    for every run at once; returns shape (len(rngs), n_iter).
+    """Squared error norm per step of every run at once, shape (len(rngs),
+    n_iter): entry 0 is the zero initial estimate's error at t = 1 and each
+    later entry follows one update. The coordinates are orthonormal, so this
+    is the MSD.
 
-    Only the m sampled nodes' noise enters an update, so run r draws only
-    from rngs[r], m standard normals per step in step order, one per sampled
-    node in ascending index order, as tests/oracle.py's sampled_noise does,
-    so stepwise and batched runs see identical noise whatever the batch. The
-    sqrt(c_s) scaling folds into one (m, f) noise map, so a step's noise
-    enters as z @ noise_map. With frozen noise each run draws one block of m
-    and one (runs, f) term enters every step. Otherwise runs and steps go in
-    tiles of side x side, side = isqrt(n_iter - 1): a tile holds at most the
-    (n_iter - 1) * m draws of one whole run, and takes one matrix product.
-    The recursion's coordinates are orthonormal, so the squared norm is the
-    MSD.
+    Only the sampled nodes' noise enters an update, so run r draws only from
+    rngs[r]: m standard normals per step, in step order and ascending node
+    order, as tests/oracle.py's sampled_noise does, whatever the batch. The
+    sqrt(c_s) scaling folds into one (m, f) noise map. With frozen noise each
+    run draws one block of m, whose (runs, f) term enters every step.
+    Otherwise runs and steps go in side x side tiles, side = isqrt(n_iter - 1),
+    each at most one run's (n_iter - 1) * m draws and one matrix product.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
     n_runs, m = len(rngs), len(rec.c_s)
-    noise_map = np.sqrt(rec.c_s)[:, None] * rec.gain
+    noise_map = np.sqrt(rec.c_s)[:, None] * (rec.step * rec.response)
     vals = np.empty((n_runs, n_iter))
     vals[:, 0] = rec.delta0 @ rec.delta0
     if frozen_noise:
@@ -226,23 +242,13 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
 def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
                        rngs: Sequence[np.random.Generator],
                        frozen_noise: bool = False) -> np.ndarray:
-    """MSD curves of LMS runs, one per generator, computed in the sampled
-    Gram eigenbasis; returns shape (len(rngs), n_iter).
-
-    Run r draws its noise only from rngs[r]. Entry 0 of each curve is the
-    error of the zero initial estimate at t = 1; each later entry follows
-    one update with a fresh noise draw (or the run's one draw, with frozen
-    noise). Identical to iterating the oracle's lms_step (tests/oracle.py).
-    """
-    return _msd_recursion(model, model.recursion("lms", mu), n_iter,
-                          rngs, frozen_noise)
+    """MSD curves of LMS runs as _msd_recursion gives them; a traced entry point
+    (perfbench/tracer.py), identical to iterating tests/oracle.py's lms_step."""
+    return _msd_recursion(model, model.recursion("lms", mu), n_iter, rngs, frozen_noise)
 
 
 def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
                        rngs: Sequence[np.random.Generator],
                        frozen_noise: bool = False) -> np.ndarray:
-    """MSD curves of RLS runs, one per generator, computed in band
-    coordinates; same conventions and shape as the LMS trajectory,
-    identical to iterating the oracle's rls_step (tests/oracle.py)."""
-    return _msd_recursion(model, model.recursion("rls", lam), n_iter,
-                          rngs, frozen_noise)
+    """The same for RLS runs; a traced entry point, matching the oracle's rls_step."""
+    return _msd_recursion(model, model.recursion("rls", lam), n_iter, rngs, frozen_noise)

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import ErrorRecursion, SignalModel, lms_msd_trajectory, rls_msd_trajectory
+from . import estimators, theory
+from .estimators import ErrorRecursion, SignalModel, estimator
 from .graph import (StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
 from .noise import build_cw, noiseless, scenario_coefficients
 from .sampling import greedy_max_lambda_min, random_sampling
-from .theory import (TheoryCurve, limits, lms_theory_exact, lms_theory_paper,
-                     rls_theory_exact, rls_theory_paper)
+from .theory import TheoryCurve, limits
 
 _COV_KEY = 1
 _SAMPLING_KEY = 2
@@ -45,8 +45,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Complete recipe for one experiment."""
 
-    algorithm: str  # "lms" | "rls"
-    param: float  # step size (lms) or forgetting factor (rls)
+    algorithm: str  # a key of estimators.ESTIMATORS
+    param: float  # that estimator's parameter
     k: int  # neighbours per station
     bandwidth: int  # band width f
     sample_size: int  # observed nodes
@@ -75,16 +75,17 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
         elif not isinstance(value, int) or value < low:
             errors.append(f"{name} must be an integer >= {low}, got {value!r}")
 
-    if config.algorithm not in ("lms", "rls"):
-        errors.append(f"algorithm must be 'lms' or 'rls', got {config.algorithm!r}")
+    try:
+        est = estimator(config.algorithm)
+    except ValueError as exc:
+        est = None
+        errors.append(str(exc))
     if isinstance(config.param, bool):
         errors.append(f"param must be a number, not a boolean ({config.param})")
-    elif not isinstance(config.param, (int, float)) or not math.isfinite(config.param):
+    elif not isinstance(config.param, (int, float)):
         errors.append(f"param must be a finite number, got {config.param!r}")
-    elif config.algorithm == "rls" and not 0 < config.param <= 1:
-        errors.append(f"forgetting factor must satisfy 0 < param <= 1, got {config.param}")
-    elif config.algorithm == "lms" and config.param <= 0:
-        errors.append(f"step size must be positive, got {config.param}")
+    elif est is not None and (error := est.param_error(config.param)):
+        errors.append(error)
     for name in ("k", "bandwidth", "sample_size", "iterations", "runs"):
         integer(name, 1)
     if isinstance(config.sample_size, int) and isinstance(config.bandwidth, int):
@@ -98,8 +99,9 @@ def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> Non
     elif not isinstance(config.stations_csv, str) or not config.stations_csv:
         errors.append(f"stations_csv must be a non-empty path or null, got {config.stations_csv!r}")
     try:
-        if config.scenario_pair() == (0.0, 0.0) and config.algorithm == "rls":
-            errors.append("zero-noise scenario is incompatible with rls (needs invertible covariance)")
+        if config.scenario_pair() == (0.0, 0.0) and est is not None and est.positive_noise:
+            errors.append(f"zero-noise scenario is incompatible with {config.algorithm} "
+                          "(needs invertible covariance)")
     except ValueError as exc:
         errors.append(str(exc))
     if config.sampling_strategy not in ("greedy", "random"):
@@ -193,13 +195,10 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
 
 def theory_curves(config: ExperimentConfig,
                   model: SignalModel) -> tuple[TheoryCurve, TheoryCurve]:
-    """The literal ("paper") and exact theory curves of the experiment."""
-    if config.algorithm == "lms":
-        paper, exact = lms_theory_paper, lms_theory_exact
-    else:
-        paper, exact = rls_theory_paper, rls_theory_exact
-    return (paper(model, config.param, config.iterations),
-            exact(model, config.param, config.iterations))
+    """The literal ("paper") and exact theory curves of the experiment, from the
+    entry points <algorithm>_theory_<mode> that perfbench/tracer.py replaces."""
+    return tuple(getattr(theory, f"{config.algorithm}_theory_{mode}")(
+        model, config.param, config.iterations) for mode in ("paper", "exact"))
 
 
 @dataclass(frozen=True)
@@ -314,13 +313,12 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     model = prepare_experiment(config, stations, basis)
     prepared = time.perf_counter()
     t_count, n_runs = config.iterations, config.runs
-    frozen = config.noise_protocol == "frozen"
     theory_paper, theory_exact = theory_curves(config, model)
     predicted = time.perf_counter()
-    trajectory = lms_msd_trajectory if config.algorithm == "lms" else rls_msd_trajectory
+    trajectory = getattr(estimators, f"{config.algorithm}_msd_trajectory")  # traced, as above
     per_run = trajectory(model, config.param, t_count,
                          [run_rng(config.master_seed, r) for r in range(n_runs)],
-                         frozen_noise=frozen)
+                         frozen_noise=config.noise_protocol == "frozen")
     msd_mean = per_run.mean(axis=0)
     if n_runs > 1:
         msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
@@ -335,19 +333,17 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
                    "simulate": simulated - predicted},  # wall seconds
     }
     metadata.update(_limit_diagnostics(model.recursion(config.algorithm, config.param)))
-    if config.algorithm == "lms":
-        mu_max = model.mu_max
-        metadata["mu_max"] = mu_max
-        metadata["stable"] = bool(config.param < mu_max)
-        if config.param >= mu_max:
-            # Divergence studies are legitimate, so an unstable step is
+    est = estimator(config.algorithm)
+    if est.stability_bound is not None:
+        bound = est.stability_bound(model)
+        metadata["mu_max"] = bound  # the manifest's name for the bound
+        metadata["stable"] = bool(config.param < bound)
+        if config.param >= bound:
+            # Divergence studies are legitimate, so an unstable parameter is
             # flagged rather than rejected.
-            warnings.warn(
-                f"step size {config.param} is at or above the stability limit "
-                f"{mu_max:.6g}; the mean trajectory will diverge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"{est.param_name} {config.param} is at or above the stability "
+                          f"limit {bound:.6g}; the mean trajectory will diverge",
+                          RuntimeWarning, stacklevel=2)
     result = RunResult(
         config=config,
         t=np.arange(1, t_count + 1),

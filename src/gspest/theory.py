@@ -1,7 +1,7 @@
-"""Closed-form transient MSD curves for the LMS and RLS estimators.
+"""Closed-form transient MSD curves of every estimator in ESTIMATORS.
 
 Every curve reads the experiment's SignalModel, whose recursion() gives the
-one error recursion both estimators unroll, delta <- d * delta + w_S @ G
+one error recursion every estimator unrolls, delta <- d * delta + w_S @ G
 with d diagonal and G = step * R; limits() gives its steady states. With
 q = diag(R^T C_S R), p = R^T sqrt(c_S) and the partial sums
 S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
@@ -101,23 +101,20 @@ def _curve(model: SignalModel, algorithm: str, mode: str, param: float,
 
 
 def lms_theory_paper(model: SignalModel, mu: float, t_max: int) -> TheoryCurve:
-    """Literal frozen-noise closed form for the LMS transient; mu is not
-    restricted to the stable range."""
+    """Literal LMS curve, unstable mu too; a traced entry point (perfbench/tracer.py)."""
     return _curve(model, "lms", "paper", mu, t_max)
 
 
 def lms_theory_exact(model: SignalModel, mu: float, t_max: int) -> TheoryCurve:
-    """Exact expected MSD of LMS under independently redrawn noise: the trace
-    of the error covariance, which is diagonal in the Gram eigenbasis."""
+    """Exact LMS curve; a traced entry point."""
     return _curve(model, "lms", "exact", mu, t_max)
 
 
 def rls_theory_paper(model: SignalModel, lam: float, t_max: int) -> TheoryCurve:
-    """Literal frozen-noise closed form for the RLS transient."""
+    """Literal RLS curve; a traced entry point."""
     return _curve(model, "rls", "paper", lam, t_max)
 
 
 def rls_theory_exact(model: SignalModel, lam: float, t_max: int) -> TheoryCurve:
-    """Exact expected MSD of RLS under independently redrawn noise. At
-    lam = 1 no update happens and the curve is constant."""
+    """Exact RLS curve, constant at lam = 1; a traced entry point."""
     return _curve(model, "rls", "exact", lam, t_max)

@@ -69,9 +69,14 @@ def rls_init(model: SignalModel, lam: float) -> RlsState:
     return RlsState(s_hat=np.zeros(model.f), lam=float(lam), m_mat=m_mat, t=1)
 
 
+def target_signal(model: SignalModel) -> np.ndarray:
+    """The true bandlimited node signal u_f @ s_f, shape (n,)."""
+    return model.band.u_f @ model.s_f
+
+
 def error_signal(model: SignalModel, s_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Observation error on the sampled nodes, zero elsewhere."""
-    resid = model.x_o + w - model.band.u_f @ s_hat
+    resid = target_signal(model) + w - model.band.u_f @ s_hat
     out = np.zeros(model.n)
     sel = list(model.sampling.indices)
     out[sel] = resid[sel]
@@ -95,7 +100,7 @@ def rls_step(state: RlsState, model: SignalModel, w: np.ndarray) -> RlsState:
 
 def msd(model: SignalModel, s_hat: np.ndarray) -> float:
     """Squared node-domain deviation of the reconstruction from the target."""
-    r = model.band.u_f @ np.asarray(s_hat, dtype=float) - model.x_o
+    r = model.band.u_f @ np.asarray(s_hat, dtype=float) - target_signal(model)
     return float(r @ r)
 
 

@@ -1,5 +1,8 @@
-"""LMS and RLS estimator updates, error tracking and run trajectories."""
+"""LMS and RLS estimator updates, error tracking, run trajectories and the
+estimator table."""
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (
+    ConfigError,
+    ExperimentConfig,
     NoiseModel,
     SamplingSet,
     SignalModel,
@@ -17,12 +22,16 @@ from gspest import (
     noiseless,
     rls_gain_matrix,
     rls_msd_trajectory,
+    run_experiment,
 )
-from gspest.harness import _to_db, run_rng
+from gspest.cli import main
+from gspest.estimators import ESTIMATORS
+from gspest.harness import _to_db, run_rng, validate_config
+from gspest.theory import lms_theory_exact
 
-from conftest import random_orthonormal
+from conftest import SMALL_CONFIG, random_orthonormal
 from oracle import (LmsState, draw_noise, error_signal, lms_init, lms_step, msd, rls_init,
-                    rls_step, sampled_noise, sampling_mask)
+                    rls_step, sampled_noise, sampling_mask, target_signal)
 
 # Noise-free ground truth for the two-node fixture. With step size 25/16 the
 # per-iteration error factor is 7/16 exactly, so MSD(t) = 4 * (7/16)^(2t-2).
@@ -94,7 +103,7 @@ class TestMsd:
     def test_duality_property(self, setup10, values):
         model = setup10
         s_hat = np.asarray(values)
-        node_err = model.band.u_f @ s_hat - model.x_o
+        node_err = model.band.u_f @ s_hat - target_signal(model)
         assert_allclose(msd(model, s_hat), node_err @ node_err,
                         rtol=0, atol=1e-9 * (1 + node_err @ node_err))
 
@@ -114,7 +123,7 @@ class TestErrorSignal:
         e = error_signal(model, np.zeros(model.f), w)
         mask = sampling_mask(model.sampling)
         assert np.all(e[~mask] == 0)
-        resid = model.x_o + w
+        resid = target_signal(model) + w
         assert_allclose(e[mask], resid[mask], rtol=1e-12)
 
 
@@ -372,3 +381,84 @@ class TestContraction:
         state = LmsState(s_hat=s_hat, mu=mu_frac * mu_max, t=1)
         err1 = msd(model, lms_step(state, model, np.zeros(model.n)).s_hat)
         assert err1 <= err0 + 1e-12
+
+
+# Parameters tried against every entry of the table: each door must accept
+# or refuse each of them alike, with the same message.
+CANDIDATES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 1.5)
+
+
+def model_door(model, algorithm, param):
+    """The message SignalModel.recursion refuses (algorithm, param) with, or None."""
+    try:
+        model.recursion(algorithm, param)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def config_door(algorithm, param, **overrides):
+    """Every message validate_config gives for the ten-station config."""
+    try:
+        validate_config(ExperimentConfig(**{**SMALL_CONFIG, "algorithm": algorithm,
+                                            "param": param, **overrides}))
+    except ConfigError as exc:
+        return exc.errors
+    return []
+
+
+class TestEstimatorTable:
+    """One rule, two doors: the config and the model read the same record."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
+    def test_both_doors_refuse_a_parameter_with_one_message(self, setup10, algorithm):
+        refused = 0
+        for param in CANDIDATES:
+            message = model_door(setup10, algorithm, param)
+            assert config_door(algorithm, param) == ([] if message is None else [message]), param
+            refused += message is not None
+        assert 0 < refused < len(CANDIDATES)
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
+    def test_run_exits_2_naming_the_parameter(self, tmp_path, capsys, setup10, algorithm):
+        est = ESTIMATORS[algorithm]
+        param = next(p for p in CANDIDATES
+                     if math.isfinite(p) and model_door(setup10, algorithm, p) is not None)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**SMALL_CONFIG, "algorithm": algorithm,
+                                           "param": param}))
+        code = main(["run", str(config_path), "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert est.param_name in err and est.rule in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
+    def test_positive_noise_rule_holds_at_both_doors(self, setup10, algorithm):
+        param = next(p for p in CANDIDATES if model_door(setup10, algorithm, p) is None)
+        quiet = replace(setup10, noise=noiseless(setup10.n))
+        refused_by_model = model_door(quiet, algorithm, param) is not None
+        refused_by_config = bool(config_door(algorithm, param, scenario=(0.0, 0.0)))
+        assert refused_by_model == refused_by_config == ESTIMATORS[algorithm].positive_noise
+
+    @pytest.mark.parametrize("name", ["nlms", "LMS", ["lms"]])
+    def test_unknown_algorithm_lists_the_table_at_both_doors(self, setup10, name):
+        messages = config_door(name, 0.5)
+        if isinstance(name, str):  # the model door takes names only
+            messages.append(model_door(setup10, name, 0.5))
+        assert messages and all(m == messages[0] for m in messages)
+        assert all(repr(key) in messages[0] for key in ESTIMATORS)
+
+    def test_lms_accepts_mu_from_zero_at_both_doors(self, setup10):
+        # the model took a negative step and the config refused mu = 0; both
+        # now hold 0 <= mu, where mu = 0 (no update) keeps the MSD constant
+        for door in (lambda mu: lms_theory_exact(setup10, mu, 5),
+                     lambda mu: lms_msd_trajectory(setup10, mu, 5, [np.random.default_rng(0)])):
+            with pytest.raises(ValueError, match="step size must be finite and satisfy mu >= 0"):
+                door(-0.1)
+        result = run_experiment(ExperimentConfig(**{**SMALL_CONFIG, "param": 0.0,
+                                                    "iterations": 20}))
+        energy = float(setup10.s_f @ setup10.s_f)
+        assert_allclose(result.msd_mean, energy, rtol=1e-12)
+        assert_allclose(result.theory_exact.values, energy, rtol=1e-12)

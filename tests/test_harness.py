@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (ConfigError, ExperimentConfig, build_knn_graph, compare, gft_basis,
                     laplacian, prepare_experiment, project_bandlimited, run_experiment)
-from gspest import harness
+from gspest import estimators, harness, theory
 from gspest.harness import (
     covariance_seed,
     run_rng,
@@ -17,7 +17,7 @@ from gspest.harness import (
     validate_config,
 )
 
-from oracle import lms_init, lms_step, msd, sampled_noise
+from oracle import lms_init, lms_step, msd, sampled_noise, target_signal
 
 BASE = dict(
     algorithm="lms",
@@ -146,10 +146,11 @@ class TestPrepareExperiment:
         assert setup10.s_f.shape == (4,)
 
     def test_target_signal_is_derived_and_read_only(self, setup10, stations10):
-        assert_array_equal(setup10.x_o, project_bandlimited(setup10.band, stations10.signal)[1])
-        assert not setup10.x_o.flags.writeable
+        assert_array_equal(target_signal(setup10),
+                           project_bandlimited(setup10.band, stations10.signal)[1])
+        assert not setup10.s_f.flags.writeable and not setup10.band.u_f.flags.writeable
         with pytest.raises(AttributeError):
-            setup10.x_o = np.zeros(setup10.n)
+            setup10.s_f = np.zeros(setup10.f)
 
     def test_zero_noise_scenario_uses_zero_covariance(self):
         model = prepare_experiment(config(scenario=(0.0, 0.0)))
@@ -262,8 +263,9 @@ class TestRunExperiment:
 
 
 class TestLayerEntryPoints:
-    # Per-layer timing wraps these module-level names of harness; a row that
-    # bypassed one would read 0 calls and 0 s, which is still a finite metric.
+    # Per-layer timing wraps these module-level names of estimators and theory;
+    # a row that bypassed one would read 0 calls and 0 s, which is still a
+    # finite metric.
     NAMES = ("lms_msd_trajectory", "rls_msd_trajectory", "lms_theory_paper",
              "lms_theory_exact", "rls_theory_paper", "rls_theory_exact")
 
@@ -278,7 +280,8 @@ class TestLayerEntryPoints:
             return wrapper
 
         for name in self.NAMES:
-            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+            module = estimators if name.endswith("trajectory") else theory
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         run_experiment(config(algorithm=algorithm, param=param))
         assert calls == {name: int(name.startswith(algorithm)) for name in self.NAMES}
 

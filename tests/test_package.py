@@ -1,6 +1,7 @@
 """Package hygiene: no module imports a name it never uses, every exported
-name resolves and has a caller outside the tests, and no constructor freezes
-its caller's arrays."""
+name resolves and has a caller outside the tests, only estimators.py
+branches on an estimator's name, and no constructor freezes its caller's
+arrays."""
 
 import ast
 import pathlib
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import gspest
-from gspest.estimators import ErrorRecursion
+from gspest.estimators import ESTIMATORS, ErrorRecursion
 
 import oracle
 
@@ -69,6 +70,31 @@ def names_referenced_outside_tests() -> set[str]:
 def test_every_exported_name_has_a_caller_outside_tests():
     # a name only the tests call belongs in the tests (see tests/oracle.py)
     assert sorted(set(gspest.__all__) - names_referenced_outside_tests()) == []
+
+
+def estimator_name_comparisons(source: str) -> list[str]:
+    """Lines that compare a value with a key of ESTIMATORS, or match on one."""
+    def names(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return [e for e in elts if isinstance(e, ast.Constant) and e.value in ESTIMATORS]
+
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Compare) and any(map(names, [node.left, *node.comparators])))
+            or (isinstance(node, ast.MatchValue) and names(node.value))]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "estimators.py"]
+                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_only_the_estimator_table_branches_on_an_estimator_name(path):
+    # each estimator's rules live in estimators.ESTIMATORS; a branch elsewhere
+    # would state one of them a second time
+    assert estimator_name_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_name_comparison():
+    source = ('if a == "lms": pass\nif b not in ("x", "rls"): pass\nif c != "x": pass\n'
+              'd = {"lms": 1}\nmatch a:\n    case "rls": pass\n')
+    assert estimator_name_comparisons(source) == ["line 1", "line 2", "line 6"]
 
 
 def _constructors(arr):
