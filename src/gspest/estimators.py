@@ -185,6 +185,9 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
     return np.linalg.inv(u_s.T @ (u_s / c_w[sel, None]))
 
 
+_MAX_TILE_SIDE = 32  # a Monte Carlo tile holds at most 32 * 32 (run, step) rows
+
+
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
                    rngs: Sequence[np.random.Generator], frozen_noise: bool) -> np.ndarray:
     """Squared error norm per step of every run at once, shape (len(rngs),
@@ -197,8 +200,10 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     order, as tests/oracle.py's sampled_noise does, whatever the batch. The
     sqrt(c_s) scaling folds into one (m, f) noise map. With frozen noise each
     run draws one block of m, whose (runs, f) term enters every step.
-    Otherwise runs and steps go in side x side tiles, side = isqrt(n_iter - 1),
-    each at most one run's (n_iter - 1) * m draws and one matrix product.
+    Otherwise runs and steps go in side x side tiles, side =
+    min(_MAX_TILE_SIDE, isqrt(n_iter - 1)), each at most one run's
+    (n_iter - 1) * m draws and one matrix product; the cap bounds a tile's
+    memory whatever n_iter is.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -216,7 +221,7 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
             delta = rec.decay * delta + inject
             vals[:, t] = np.einsum("rf,rf->r", delta, delta)
         return vals
-    side = max(1, math.isqrt(n_iter - 1))
+    side = max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
     # one tile's draws and errors, reused by every tile
     z_buf, e_buf = np.empty(side * side * m), np.empty(side * side * model.f)
     for r0 in range(0, n_runs, side):

@@ -12,9 +12,10 @@ key (2,), and run r the child key (3, r) of the master seed.
 
 import hashlib
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"- {e}" for e in self.errors))
 
 
+def _builtin_number(value):
+    """An Integral as int and a Real as float; bools and the rest unchanged."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete recipe for one experiment."""
@@ -59,6 +67,15 @@ class ExperimentConfig:
     stations_csv: str | None = None
     n_stations: int = 299
     stations_seed: int = 2018
+
+    def __post_init__(self):
+        # numpy and other registered numbers become the int or float they
+        # stand for, so checks, seeds and the manifest see builtin values
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) in (tuple, list):  # a scenario pair
+                value = type(value)(map(_builtin_number, value))
+            object.__setattr__(self, f.name, _builtin_number(value))
 
     def scenario_pair(self) -> tuple[float, float]:
         return scenario_coefficients(self.scenario)
@@ -213,7 +230,8 @@ class DeviationStats:
     exact_mean_abs_db: float
     tail_se_db: float  # average dB uncertainty of the empirical tail, delta method
     exact_tail_z: float  # |tail mean error vs exact theory| / its standard error
-    # both are NaN (undefined) for a one-run experiment
+    # both are NaN (undefined) for a one-run experiment; when every run's tail
+    # is the same, the SE is 0.0 and z NaN
 
 
 @dataclass
@@ -270,6 +288,9 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     n_runs = run_tail_means.shape[0]
     if n_runs < 2:  # one run has no spread to take an error from
         tail_se_db = exact_tail_z = float("nan")
+    elif np.all(result.per_run[:, tail] == result.per_run[:1, tail]):
+        # identical runs (mu = 0, lam = 1): no spread, so no error to divide by
+        tail_se_db, exact_tail_z = 0.0, float("nan")
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             se_db = (10.0 / np.log(10.0)) * result.msd_se[tail] / result.msd_mean[tail]

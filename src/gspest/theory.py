@@ -45,19 +45,34 @@ class TheoryCurve:
             raise ValueError("values must be a non-empty vector")
 
 
-def _geometric(base: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+_BLOCK = 256  # columns of t per block: the working memory is O(f * _BLOCK), not O(f * T)
+
+
+def _geometric_blocks(base: np.ndarray, t_max: int):
     """Powers base^t (cumulative products, sign-safe) and partial sums
-    (1 - base^t) / (1 - base) per row, for t = 0..count-1."""
-    powers = np.ones((base.shape[0], count))
-    if count > 1:
+    (1 - base^t) / (1 - base) per row, for t = 0..t_max-1, yielded as
+    (t0, powers, sums) blocks of _BLOCK columns.
+
+    Each block starts from the last power times base, the product one cumprod
+    over every t would take. A vector-matrix product of fewer than 4 columns
+    takes another BLAS path, so a shorter tail joins the block before it. The
+    curves are then bit-identical to one unblocked evaluation.
+    """
+    flat = np.abs(1.0 - base) < 1e-13
+    first = np.ones(base.shape[0])  # base^t0
+    t0 = 0
+    while t0 < t_max:
+        count = t_max - t0 if t_max - t0 < _BLOCK + 4 else _BLOCK
+        powers = np.empty((base.shape[0], count))
+        powers[:, 0] = first
         powers[:, 1:] = base[:, None]
         np.cumprod(powers, axis=1, out=powers)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sums = (1.0 - powers) / (1.0 - base)[:, None]
-    flat = np.abs(1.0 - base) < 1e-13
-    if np.any(flat):
-        sums[flat, :] = np.arange(count, dtype=float)
-    return powers, sums
+        first = powers[:, -1] * base
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = (1.0 - powers) / (1.0 - base)[:, None]
+        sums[flat, :] = np.arange(t0, t0 + count, dtype=float)
+        yield t0, powers, sums
+        t0 += count
 
 
 def _noise_energy(rec: ErrorRecursion) -> np.ndarray:
@@ -67,14 +82,18 @@ def _noise_energy(rec: ErrorRecursion) -> np.ndarray:
 
 def _transient(rec: ErrorRecursion, mode: str, t_max: int) -> np.ndarray:
     q = _noise_energy(rec)
-    if mode == "exact":
-        decay_sq = rec.decay * rec.decay
-        powers, sums = _geometric(decay_sq, t_max)
-        return (rec.delta0**2) @ powers + (rec.step**2) * (q @ sums)
-    powers, sums = _geometric(rec.decay, t_max)
-    ramp = rec.step * sums  # frozen-noise response after t steps, per unit noise
+    energy = rec.delta0**2
     cross = rec.delta0 * (np.sqrt(rec.c_s) @ rec.response)
-    return (rec.delta0**2) @ (powers**2) + 2.0 * (cross @ (powers * ramp)) + q @ (ramp**2)
+    out = np.empty(t_max)
+    base = rec.decay * rec.decay if mode == "exact" else rec.decay
+    for t0, powers, sums in _geometric_blocks(base, t_max):
+        cols = slice(t0, t0 + powers.shape[1])
+        if mode == "exact":
+            out[cols] = energy @ powers + (rec.step**2) * (q @ sums)
+        else:
+            ramp = rec.step * sums  # frozen-noise response after t steps, per unit noise
+            out[cols] = energy @ (powers**2) + 2.0 * (cross @ (powers * ramp)) + q @ (ramp**2)
+    return out
 
 
 def limits(rec: ErrorRecursion) -> dict[str, float]:

@@ -291,6 +291,25 @@ class TestTrajectories:
                     w = sampled_noise(model, rng)
             assert_allclose(row, slow, rtol=1e-12)
 
+    # isqrt(1199) = 34, so the tile side is capped at 32: 33 runs leave a
+    # one-run chunk, and 1199 steps a last block of 15; the first run, the
+    # last of the first chunk and the lone one are stepped
+    @pytest.mark.parametrize("trajectory, init, step, param", [
+        (lms_msd_trajectory, lms_init, lms_step, 0.5),
+        (rls_msd_trajectory, rls_init, rls_step, 0.7),
+    ], ids=["lms", "rls"])
+    def test_capped_tiles_match_step_loop(self, setup10, trajectory, init, step, param):
+        model, n_iter, seeds = setup10, 1200, range(300, 333)
+        fast = trajectory(model, param, n_iter, [np.random.default_rng(s) for s in seeds])
+        for r in (0, 31, 32):
+            rng = np.random.default_rng(seeds[r])
+            state = init(model, param)
+            slow = [msd(model, state.s_hat)]
+            for _ in range(n_iter - 1):
+                state = step(state, model, sampled_noise(model, rng))
+                slow.append(msd(model, state.s_hat))
+            assert_allclose(fast[r], slow, rtol=1e-12)
+
     @pytest.mark.parametrize("frozen", [False, True], ids=["iid", "frozen"])
     def test_run_does_not_depend_on_its_batch(self, setup10, frozen):
         model = setup10

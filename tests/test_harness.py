@@ -115,6 +115,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(config(algorithm="rls", param=1.5))
 
+    def test_numpy_numbers_accepted_as_their_builtin_values(self):
+        cfg = config(algorithm="rls", param=np.int64(1), k=np.int64(3), runs=np.int32(6),
+                     scenario=(np.float32(0.5), np.int64(0)))
+        validate_config(cfg)
+        assert (cfg.param, cfg.k, cfg.runs, cfg.scenario) == (1, 3, 6, (0.5, 0))
+        assert [type(v) for v in (cfg.param, cfg.k, cfg.runs, *cfg.scenario)] == [
+            int, int, int, float, int]
+
+    @pytest.mark.parametrize("name", ["k", "runs"])
+    def test_numpy_boolean_and_float_still_refused(self, name):
+        for value in (np.bool_(True), np.float64(3.0)):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+                validate_config(config(**{name: value}))
+
     def test_overrides(self):
         cfg = replace(config(), master_seed=7, runs=99)
         assert cfg.master_seed == 7
@@ -333,6 +347,14 @@ class TestCompare:
         assert np.isnan(stats.tail_se_db)
         assert np.isnan(stats.exact_tail_z)
         assert np.isfinite(stats.exact_mean_abs_db)
+
+    @pytest.mark.parametrize("algorithm, param", [("lms", 0.0), ("rls", 1.0)])
+    def test_identical_runs_have_zero_se_and_undefined_z(self, algorithm, param):
+        # no update (mu = 0, lam = 1): every run keeps the signal energy
+        res = run_experiment(config(algorithm=algorithm, param=param, runs=3))
+        assert (res.per_run == res.per_run[0]).all()
+        assert res.deviation.tail_se_db == 0.0
+        assert np.isnan(res.deviation.exact_tail_z)
 
     def test_burn_in_bounds(self):
         res = run_experiment(config())

@@ -265,6 +265,22 @@ class TestManifest:
         gio.write_manifest(path, manifest)
         assert gio.read_manifest(path) == manifest
 
+    def test_numpy_number_config_runs_as_its_builtin_twin(self, tmp_path):
+        plain = small_config(iterations=15, runs=2)
+        numpy_cfg = dataclasses.replace(
+            plain, param=np.float64(plain.param), k=np.int64(plain.k),
+            bandwidth=np.int64(plain.bandwidth), sample_size=np.int32(plain.sample_size),
+            iterations=np.int64(15), runs=np.int64(2), master_seed=np.uint32(plain.master_seed),
+            n_stations=np.int64(plain.n_stations), stations_seed=np.int64(plain.stations_seed))
+        stations = synthetic_stations(plain.n_stations, plain.stations_seed)
+        want, got = run_experiment(plain, stations), run_experiment(numpy_cfg, stations)
+        assert_array_equal(got.per_run, want.per_run)
+        assert_array_equal(got.theory_paper.values, want.theory_paper.values)
+        assert_array_equal(got.theory_exact.values, want.theory_exact.values)
+        path = tmp_path / "m.json"
+        gio.write_manifest(path, gio.build_manifest(got, stations, 0.0))
+        assert gio.read_manifest(path)["config"] == gio.config_to_dict(plain)
+
     def test_lms_records_deviation(self, tmp_path):
         config = small_config(iterations=15, runs=2)
         stations = synthetic_stations(config.n_stations, config.stations_seed)

@@ -5,6 +5,7 @@ matrix powers, explicit covariance recursions, explicit Frobenius norms.
 Agreement to near machine precision is the main correctness argument.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +26,11 @@ from gspest import (
     rls_theory_exact,
     rls_theory_paper,
 )
+from gspest.estimators import ErrorRecursion
 from gspest.sampling import SamplingSet, sampled_gram
-from gspest.theory import limits
+from gspest.theory import _transient, limits
 
+from conftest import random_orthonormal
 from oracle import sampling_mask, solve_lms_lyapunov
 
 
@@ -333,6 +336,65 @@ class TestFullScale:
         got = fast(case1, param, 60).values
         want = slow(band, sampling, s_f, c_w, param, 60)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def unblocked_transient(rec, mode, t_max):
+    """Either mode evaluated over every t at once: one cumprod of an f x t_max
+    array of powers and one vector-matrix product per term."""
+    base = rec.decay * rec.decay if mode == "exact" else rec.decay
+    powers = np.ones((base.shape[0], t_max))
+    powers[:, 1:] = base[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = (1.0 - powers) / (1.0 - base)[:, None]
+    sums[np.abs(1.0 - base) < 1e-13, :] = np.arange(t_max, dtype=float)
+    q = rec.c_s @ (rec.response * rec.response)
+    if mode == "exact":
+        return (rec.delta0**2) @ powers + (rec.step**2) * (q @ sums)
+    ramp = rec.step * sums
+    cross = rec.delta0 * (np.sqrt(rec.c_s) @ rec.response)
+    return (rec.delta0**2) @ (powers**2) + 2.0 * (cross @ (powers * ramp)) + q @ (ramp**2)
+
+
+def recursion_with_flat_coordinates(f, seed):
+    """A recursion whose decays include 1 and -1: flat in the exact mode, and
+    1 flat in the literal one too."""
+    rng = np.random.default_rng(seed)
+    decay = rng.uniform(-0.99, 0.99, f)
+    decay[:3] = (1.0, -1.0, 1.0)
+    return ErrorRecursion(decay=decay, step=0.3, response=rng.standard_normal((f + 10, f)),
+                          delta0=rng.standard_normal(f), c_s=rng.uniform(0.1, 1.0, f + 10))
+
+
+class TestBlockedCurves:
+    """The curves are evaluated in blocks of t; each block must give exactly
+    the numbers one evaluation over every t gives."""
+
+    @pytest.mark.parametrize("t_max", [1, 255, 256, 257, 775])
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    @pytest.mark.parametrize("f", [50, 200])
+    def test_blocks_equal_one_unblocked_evaluation(self, f, mode, t_max):
+        rec = recursion_with_flat_coordinates(f, seed=f)
+        assert_array_equal(_transient(rec, mode, t_max), unblocked_transient(rec, mode, t_max))
+
+    @pytest.mark.parametrize("curve", [lms_theory_paper, lms_theory_exact])
+    def test_working_memory_does_not_grow_with_the_horizon(self, curve):
+        # f = 50, T = 20 000: one f x T array of powers alone is 8 MB
+        band = random_orthonormal(60, 50, seed=3)
+        rng = np.random.default_rng(3)
+        model = SignalModel(band=band, s_f=rng.standard_normal(50),
+                            sampling=SamplingSet(indices=tuple(range(55)), n=60),
+                            noise=NoiseModel(c_w=rng.uniform(0.01, 0.1, 60)))
+        model.recursion("lms", 0.5)  # the Gram eigendecomposition is cached first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            values = curve(model, 0.5, 20_000).values
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (20_000,)
+        assert peak < 1_000_000, f"theory allocated {peak / 1e6:.1f} MB at its peak"
 
 
 class TestErrorRecursion:
