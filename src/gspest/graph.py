@@ -169,12 +169,10 @@ def build_knn_graph(stations: StationTable, k: int) -> Graph:
     c = stations.coords
     dist = haversine_km(c[:, None, :], c[None, :, :])
     np.fill_diagonal(dist, np.inf)
+    # a stable sort keeps equal distances in index order, so the lower index wins
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
     adj = np.zeros((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        # lexsort: primary key distance, secondary key index (lower wins)
-        order = np.lexsort((idx, dist[i]))
-        adj[i, order[:k]] = 1.0
+    np.put_along_axis(adj, nearest, 1.0, axis=1)
     adj = np.maximum(adj, adj.T)
     return Graph(adjacency=adj)
 

@@ -51,7 +51,9 @@ def _builtin_number(value):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete recipe for one experiment."""
+    """Complete recipe for one experiment, checked on construction (and so on
+    every dataclasses.replace): a ConfigError lists each problem that does not
+    depend on the station count, which prepare_experiment checks."""
 
     algorithm: str  # a key of estimators.ESTIMATORS
     param: float  # that estimator's parameter
@@ -70,70 +72,62 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # numpy and other registered numbers become the int or float they
-        # stand for, so checks, seeds and the manifest see builtin values
+        # stand for, so checks, seeds and the manifest see builtin values;
+        # param is always a float and a scenario pair a tuple
         for f in fields(self):
             value = getattr(self, f.name)
             if type(value) in (tuple, list):  # a scenario pair
-                value = type(value)(map(_builtin_number, value))
+                value = tuple(map(_builtin_number, value))
             object.__setattr__(self, f.name, _builtin_number(value))
+        if type(self.param) is int:  # not bool, which is refused below
+            object.__setattr__(self, "param", float(self.param))
+        errors: list[str] = []
+
+        def integer(name: str, low: int) -> None:
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                errors.append(f"{name} must be a number, not a boolean ({value})")
+            elif not isinstance(value, int) or value < low:
+                errors.append(f"{name} must be an integer >= {low}, got {value!r}")
+
+        try:
+            est = estimator(self.algorithm)
+        except ValueError as exc:
+            est = None
+            errors.append(str(exc))
+        if isinstance(self.param, bool):
+            errors.append(f"param must be a number, not a boolean ({self.param})")
+        elif not isinstance(self.param, float):
+            errors.append(f"param must be a finite number, got {self.param!r}")
+        elif est is not None and (error := est.param_error(self.param)):
+            errors.append(error)
+        for name in ("k", "bandwidth", "sample_size", "iterations", "runs"):
+            integer(name, 1)
+        if isinstance(self.sample_size, int) and isinstance(self.bandwidth, int):
+            if self.sample_size < self.bandwidth:
+                errors.append(
+                    f"sample_size ({self.sample_size}) must be at least bandwidth ({self.bandwidth})")
+        integer("master_seed", 0)
+        integer("stations_seed", 0)
+        if self.stations_csv is None:
+            integer("n_stations", 2)
+        elif not isinstance(self.stations_csv, str) or not self.stations_csv:
+            errors.append(f"stations_csv must be a non-empty path or null, got {self.stations_csv!r}")
+        try:
+            if self.scenario_pair() == (0.0, 0.0) and est is not None and est.positive_noise:
+                errors.append(f"zero-noise scenario is incompatible with {self.algorithm} "
+                              "(needs invertible covariance)")
+        except ValueError as exc:
+            errors.append(str(exc))
+        if self.sampling_strategy not in ("greedy", "random"):
+            errors.append(f"sampling_strategy must be 'greedy' or 'random', got {self.sampling_strategy!r}")
+        if self.noise_protocol not in ("iid", "frozen"):
+            errors.append(f"noise_protocol must be 'iid' or 'frozen', got {self.noise_protocol!r}")
+        if errors:
+            raise ConfigError(errors)
 
     def scenario_pair(self) -> tuple[float, float]:
         return scenario_coefficients(self.scenario)
-
-
-def validate_config(config: ExperimentConfig, n_nodes: int | None = None) -> None:
-    """Raise ConfigError listing every problem with the configuration."""
-    errors: list[str] = []
-
-    def integer(name: str, low: int) -> None:
-        value = getattr(config, name)
-        if isinstance(value, bool):
-            errors.append(f"{name} must be a number, not a boolean ({value})")
-        elif not isinstance(value, int) or value < low:
-            errors.append(f"{name} must be an integer >= {low}, got {value!r}")
-
-    try:
-        est = estimator(config.algorithm)
-    except ValueError as exc:
-        est = None
-        errors.append(str(exc))
-    if isinstance(config.param, bool):
-        errors.append(f"param must be a number, not a boolean ({config.param})")
-    elif not isinstance(config.param, (int, float)):
-        errors.append(f"param must be a finite number, got {config.param!r}")
-    elif est is not None and (error := est.param_error(config.param)):
-        errors.append(error)
-    for name in ("k", "bandwidth", "sample_size", "iterations", "runs"):
-        integer(name, 1)
-    if isinstance(config.sample_size, int) and isinstance(config.bandwidth, int):
-        if config.sample_size < config.bandwidth:
-            errors.append(
-                f"sample_size ({config.sample_size}) must be at least bandwidth ({config.bandwidth})")
-    integer("master_seed", 0)
-    integer("stations_seed", 0)
-    if config.stations_csv is None:
-        integer("n_stations", 2)
-    elif not isinstance(config.stations_csv, str) or not config.stations_csv:
-        errors.append(f"stations_csv must be a non-empty path or null, got {config.stations_csv!r}")
-    try:
-        if config.scenario_pair() == (0.0, 0.0) and est is not None and est.positive_noise:
-            errors.append(f"zero-noise scenario is incompatible with {config.algorithm} "
-                          "(needs invertible covariance)")
-    except ValueError as exc:
-        errors.append(str(exc))
-    if config.sampling_strategy not in ("greedy", "random"):
-        errors.append(f"sampling_strategy must be 'greedy' or 'random', got {config.sampling_strategy!r}")
-    if config.noise_protocol not in ("iid", "frozen"):
-        errors.append(f"noise_protocol must be 'iid' or 'frozen', got {config.noise_protocol!r}")
-    if n_nodes is not None and isinstance(config.k, int) and isinstance(config.bandwidth, int):
-        if config.k > n_nodes - 1:
-            errors.append(f"k ({config.k}) must be at most n-1 ({n_nodes - 1})")
-        if config.bandwidth > n_nodes:
-            errors.append(f"bandwidth ({config.bandwidth}) must be at most n ({n_nodes})")
-        if isinstance(config.sample_size, int) and config.sample_size > n_nodes:
-            errors.append(f"sample_size ({config.sample_size}) must be at most n ({n_nodes})")
-    if errors:
-        raise ConfigError(errors)
 
 
 def covariance_seed(master_seed: int) -> int:
@@ -184,12 +178,18 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
     cached eigendecomposition of the graph Laplacian, in which case the
     k-NN graph is not rebuilt.
     """
-    validate_config(config)
     if stations is None:
         if config.stations_csv is not None:
             raise ValueError("stations_csv is set; load the table and pass it in")
         stations = synthetic_stations(config.n_stations, config.stations_seed)
-    validate_config(config, n_nodes=stations.n)
+    n = stations.n
+    errors = [message for too_many, message in (
+        (config.k > n - 1, f"k ({config.k}) must be at most n-1 ({n - 1})"),
+        (config.bandwidth > n, f"bandwidth ({config.bandwidth}) must be at most n ({n})"),
+        (config.sample_size > n, f"sample_size ({config.sample_size}) must be at most n ({n})"),
+    ) if too_many]
+    if errors:
+        raise ConfigError(errors)
     if basis is None:
         basis = gft_basis(laplacian(build_knn_graph(stations, config.k)))
     elif basis.n != stations.n:

@@ -17,16 +17,11 @@ import numpy as np
 
 from ._version import __version__
 from .graph import GftBasis, Graph, StationTable
-from .harness import ConfigError, ExperimentConfig, RunResult, validate_config
+from .harness import ConfigError, ExperimentConfig, RunResult
 
 STATION_HEADER = ("id", "lat", "lon", "value")
 RESULTS_HEADER = ("t", "msd_emp_db", "msd_theory_paper_db", "msd_theory_exact_db")
 THEORY_HEADER = ("t", "msd_theory_paper_db", "msd_theory_exact_db")
-
-_REQUIRED_CONFIG_KEYS = (
-    "algorithm", "param", "k", "bandwidth", "sample_size", "scenario",
-    "iterations", "runs", "master_seed",
-)
 
 
 class DataError(ValueError):
@@ -42,7 +37,8 @@ def _fmt(value: float) -> str:
 
 
 def read_station_csv(path) -> StationTable:
-    """Load a station table; header must be exactly id,lat,lon,value.
+    """Load a station table; header must be exactly id,lat,lon,value (a UTF-8
+    byte-order mark before it is skipped).
 
     Every malformed row is reported with its line number in one error.
     """
@@ -51,7 +47,7 @@ def read_station_csv(path) -> StationTable:
     coords: list[tuple[float, float]] = []
     values: list[float] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -113,30 +109,21 @@ def station_digest(stations: StationTable) -> str:
 
 
 def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a flat JSON object.
+    """Build an ExperimentConfig from a flat JSON object.
 
-    Unknown keys, missing keys, wrongly typed values and semantic problems
-    are all collected and raised together.
+    Unknown and missing keys are reported together; the config's own
+    construction then reports every problem with the values.
     """
     if not isinstance(data, dict):
         raise ConfigError([f"{source}: top level must be a JSON object"])
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    errors = [f"{source}: unknown key {k!r}" for k in sorted(set(data) - known)]
-    missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in data]
-    errors += [f"{source}: missing required key {k!r}" for k in missing]
+    fields = dataclasses.fields(ExperimentConfig)
+    errors = [f"{source}: unknown key {k!r}"
+              for k in sorted(set(data) - {f.name for f in fields})]
+    errors += [f"{source}: missing required key {f.name!r}" for f in fields
+               if f.default is dataclasses.MISSING and f.name not in data]
     if errors:
         raise ConfigError(errors)
-    kwargs = dict(data)
-    if isinstance(kwargs.get("scenario"), list):
-        kwargs["scenario"] = tuple(kwargs["scenario"])
-    if type(kwargs.get("param")) is int:  # not bool, which validate_config rejects
-        kwargs["param"] = float(kwargs["param"])
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError([f"{source}: {exc}"]) from exc
-    validate_config(config)
-    return config
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -72,6 +72,7 @@ def _geometric_blocks(base: np.ndarray, t_max: int):
             sums = (1.0 - powers) / (1.0 - base)[:, None]
         sums[flat, :] = np.arange(t0, t0 + count, dtype=float)
         yield t0, powers, sums
+        del powers, sums  # freed before the next block is built
         t0 += count
 
 
@@ -93,6 +94,8 @@ def _transient(rec: ErrorRecursion, mode: str, t_max: int) -> np.ndarray:
         else:
             ramp = rec.step * sums  # frozen-noise response after t steps, per unit noise
             out[cols] = energy @ (powers**2) + 2.0 * (cross @ (powers * ramp)) + q @ (ramp**2)
+            del ramp
+        del powers, sums  # so the generator can free this block before the next
     return out
 
 

@@ -26,7 +26,7 @@ from gspest import (
 )
 from gspest.cli import main
 from gspest.estimators import ESTIMATORS
-from gspest.harness import _to_db, run_rng, validate_config
+from gspest.harness import _to_db, run_rng
 from gspest.theory import lms_theory_exact
 
 from conftest import SMALL_CONFIG, random_orthonormal
@@ -417,10 +417,10 @@ def model_door(model, algorithm, param):
 
 
 def config_door(algorithm, param, **overrides):
-    """Every message validate_config gives for the ten-station config."""
+    """Every message the ten-station config's construction gives."""
     try:
-        validate_config(ExperimentConfig(**{**SMALL_CONFIG, "algorithm": algorithm,
-                                            "param": param, **overrides}))
+        ExperimentConfig(**{**SMALL_CONFIG, "algorithm": algorithm, "param": param,
+                            **overrides})
     except ConfigError as exc:
         return exc.errors
     return []

@@ -117,6 +117,27 @@ class TestKnnGraph:
         # union symmetrization keeps every node's own k selections
         assert np.all(adj.sum(axis=1) >= 1)
 
+    @given(
+        base=st.lists(coord_strategy, min_size=1, max_size=6),
+        picks=st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=16),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_ties_match_a_per_row_lexsort(self, base, picks, data):
+        # stations repeat coordinates of a few distinct points, so most rows
+        # hold ties; each must go to the lower index, as a (distance, index)
+        # lexsort orders them
+        coords = np.array([base[i % len(base)] for i in picks], dtype=float)
+        n = coords.shape[0]
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        dist = haversine_km(coords[:, None, :], coords[None, :, :])
+        np.fill_diagonal(dist, np.inf)
+        want = np.zeros((n, n))
+        for i in range(n):
+            want[i, np.lexsort((np.arange(n), dist[i]))[:k]] = 1.0
+        want = np.maximum(want, want.T)
+        assert_array_equal(build_knn_graph(stations_from(coords), k).adjacency, want)
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             Graph(adjacency=np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric

@@ -14,7 +14,6 @@ from gspest.harness import (
     run_rng,
     sampling_seed,
     synthetic_stations,
-    validate_config,
 )
 
 from oracle import lms_init, lms_step, msd, sampled_noise, target_signal
@@ -60,9 +59,8 @@ class TestSyntheticStations:
 
 class TestConfigValidation:
     def test_collects_all_errors(self):
-        cfg = config(param=-1.0, k=0, runs=0)
         with pytest.raises(ConfigError) as err:
-            validate_config(cfg)
+            config(param=-1.0, k=0, runs=0)
         text = str(err.value)
         assert "step size" in text or "param" in text
         assert "k" in text
@@ -71,63 +69,64 @@ class TestConfigValidation:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError) as err:
-            validate_config(config(algorithm="sgd"))
+            config(algorithm="sgd")
         assert "algorithm" in str(err.value)
 
     def test_rls_rejects_zero_noise(self):
-        cfg = config(algorithm="rls", param=0.7, scenario=(0.0, 0.0))
         with pytest.raises(ConfigError) as err:
-            validate_config(cfg)
+            config(algorithm="rls", param=0.7, scenario=(0.0, 0.0))
         assert "covariance" in str(err.value)
 
     def test_lms_allows_zero_noise(self):
-        validate_config(config(scenario=(0.0, 0.0)))
+        config(scenario=(0.0, 0.0))
 
     def test_bad_protocol_and_workers(self):
         with pytest.raises(ConfigError):
-            validate_config(config(noise_protocol="warm"))
+            config(noise_protocol="warm")
 
     def test_node_count_checks(self):
         with pytest.raises(ConfigError):
-            validate_config(config(sample_size=11), n_nodes=10)
+            prepare_experiment(config(sample_size=11))
         with pytest.raises(ConfigError):
-            validate_config(config(bandwidth=20), n_nodes=10)
+            prepare_experiment(config(bandwidth=20))
 
     @pytest.mark.parametrize("scenario", [(np.nan, 0.0), (np.inf, 0.05), (0.05, np.nan)])
     def test_non_finite_scenario_rejected(self, scenario):
         with pytest.raises(ConfigError, match="scenario coefficients must be finite"):
-            validate_config(config(scenario=scenario))
+            config(scenario=scenario)
 
     @pytest.mark.parametrize("name", ["param", "k", "bandwidth", "sample_size", "iterations",
                                       "runs", "master_seed", "stations_seed", "n_stations"])
     def test_boolean_rejected_where_a_number_is_required(self, name):
         with pytest.raises(ConfigError, match=f"{name} must be a number, not a boolean"):
-            validate_config(config(**{name: True}))
+            config(**{name: True})
 
     def test_every_boolean_reported(self):
-        cfg = config(algorithm="rls", param=True, runs=True, k=True, master_seed=False)
         with pytest.raises(ConfigError) as err:
-            validate_config(cfg)
+            config(algorithm="rls", param=True, runs=True, k=True, master_seed=False)
         assert len(err.value.errors) == 4
         assert all("boolean" in e for e in err.value.errors)
 
     def test_rls_param_range(self):
         with pytest.raises(ConfigError):
-            validate_config(config(algorithm="rls", param=1.5))
+            config(algorithm="rls", param=1.5)
 
     def test_numpy_numbers_accepted_as_their_builtin_values(self):
         cfg = config(algorithm="rls", param=np.int64(1), k=np.int64(3), runs=np.int32(6),
                      scenario=(np.float32(0.5), np.int64(0)))
-        validate_config(cfg)
         assert (cfg.param, cfg.k, cfg.runs, cfg.scenario) == (1, 3, 6, (0.5, 0))
         assert [type(v) for v in (cfg.param, cfg.k, cfg.runs, *cfg.scenario)] == [
-            int, int, int, float, int]
+            float, int, int, float, int]
 
     @pytest.mark.parametrize("name", ["k", "runs"])
     def test_numpy_boolean_and_float_still_refused(self, name):
         for value in (np.bool_(True), np.float64(3.0)):
             with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
-                validate_config(config(**{name: value}))
+                config(**{name: value})
+
+    def test_replace_checks_the_override(self):
+        with pytest.raises(ConfigError, match="runs must be an integer >= 1, got 0"):
+            replace(config(), runs=0)
 
     def test_overrides(self):
         cfg = replace(config(), master_seed=7, runs=99)

@@ -118,6 +118,21 @@ class TestStationCsv:
         # the duplicate message points back at the first occurrence
         assert "first at line 2" in [m for m in messages if "duplicate" in m][0]
 
+    def test_byte_order_mark_ignored(self, tmp_path, cache_pieces):
+        # spreadsheet programs may save UTF-8 with a byte-order mark before the header
+        stations, _, basis = cache_pieces
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        gio.write_station_csv(plain, stations)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, back = gio.read_station_csv(plain), gio.read_station_csv(marked)
+        assert back.ids == want.ids
+        assert_array_equal(back.coords, want.coords)
+        assert_array_equal(back.signal, want.signal)
+        cache = tmp_path / "cache"
+        path = gio.save_graph_cache(cache, want, 3, basis)
+        assert gio.load_graph_cache(cache, back, 3) is not None
+        assert gio.save_graph_cache(cache, back, 3, basis) == path
+
     def test_single_station_rejected_via_table_validation(self, tmp_path):
         path = tmp_path / "st.csv"
         path.write_text("id,lat,lon,value\nonly,0.0,0.0,1.0\n")
@@ -280,6 +295,20 @@ class TestManifest:
         path = tmp_path / "m.json"
         gio.write_manifest(path, gio.build_manifest(got, stations, 0.0))
         assert gio.read_manifest(path)["config"] == gio.config_to_dict(plain)
+
+    def test_integer_param_from_json_or_numpy_gives_one_config(self, tmp_path):
+        from_json = gio.parse_config({**SMALL_CONFIG, "algorithm": "rls", "param": 1,
+                                      "iterations": 15, "runs": 2})
+        from_numpy = small_config(algorithm="rls", param=np.int64(1), iterations=15, runs=2)
+        assert repr(from_json) == repr(from_numpy)
+        stations = synthetic_stations(from_json.n_stations, from_json.stations_seed)
+        blocks = []
+        for i, config in enumerate((from_json, from_numpy)):
+            path = tmp_path / f"m{i}.json"
+            gio.write_manifest(path, gio.build_manifest(run_experiment(config, stations),
+                                                        stations, 0.0))
+            blocks.append(json.dumps(gio.read_manifest(path)["config"], sort_keys=True))
+        assert blocks[0] == blocks[1]
 
     def test_lms_records_deviation(self, tmp_path):
         config = small_config(iterations=15, runs=2)
@@ -621,6 +650,17 @@ class TestCliErrors:
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
         assert "runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, name", [("run", "--runs", "runs"),
+                                                     ("theory", "--iterations", "iterations")])
+    def test_bad_override_exits_2_before_building_the_graph(self, tmp_path, capsys,
+                                                            command, flag, name):
+        code = main([command, write_config(tmp_path), "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(tmp_path / "cache"), flag, "0"])
+        assert code == 2
+        assert f"{name} must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "o.csv").exists()
 
     def test_non_finite_scenario_exits_2_before_building_the_graph(self, tmp_path, capsys):
         config_path = write_config(tmp_path, scenario=[math.nan, 0.0])

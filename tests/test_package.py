@@ -1,9 +1,10 @@
 """Package hygiene: no module imports a name it never uses, every exported
 name resolves and has a caller outside the tests, only estimators.py
-branches on an estimator's name, and no constructor freezes its caller's
-arrays."""
+branches on an estimator's name, only harness.py lists the config's fields,
+and no constructor freezes its caller's arrays."""
 
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_checker_flags_a_name_comparison():
     source = ('if a == "lms": pass\nif b not in ("x", "rls"): pass\nif c != "x": pass\n'
               'd = {"lms": 1}\nmatch a:\n    case "rls": pass\n')
     assert estimator_name_comparisons(source) == ["line 1", "line 2", "line 6"]
+
+
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(gspest.ExperimentConfig)}
+
+
+def config_field_lists(source: str) -> list[str]:
+    """Lines of tuple, list or set literals holding three or more config field names."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and sum(isinstance(e, ast.Constant) and e.value in CONFIG_FIELDS
+                    for e in node.elts) >= 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "harness.py"]
+                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_only_the_config_lists_its_fields(path):
+    # ExperimentConfig checks its own fields on construction; a list of them
+    # elsewhere (the required keys, say) would state its rules a second time
+    assert config_field_lists(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_config_field_list():
+    source = ('a = ("algorithm", "param", "k")\nb = ["runs", "k", 3]\n'
+              'c = {"runs", "k", "iterations", "x"}\nd = f(runs=1, k=2, param=3)\n')
+    assert config_field_lists(source) == ["line 1", "line 3"]
 
 
 def _constructors(arr):

@@ -28,7 +28,7 @@ from gspest import (
 )
 from gspest.estimators import ErrorRecursion
 from gspest.sampling import SamplingSet, sampled_gram
-from gspest.theory import _transient, limits
+from gspest.theory import _BLOCK, _transient, limits
 
 from conftest import random_orthonormal
 from oracle import sampling_mask, solve_lms_lyapunov
@@ -395,6 +395,23 @@ class TestBlockedCurves:
             tracemalloc.stop()
         assert values.shape == (20_000,)
         assert peak < 1_000_000, f"theory allocated {peak / 1e6:.1f} MB at its peak"
+
+    @pytest.mark.parametrize("f, t_max", [(50, 20_000), (200, 5000)])
+    @pytest.mark.parametrize("mode", ["paper", "exact"])
+    def test_each_block_is_freed_before_the_next(self, mode, f, t_max):
+        # a block holds up to f x (_BLOCK + 4) floats; holding the previous
+        # block's powers, sums and ramp while the next is built would add two
+        # or three blocks to the peak
+        rec = recursion_with_flat_coordinates(f, seed=f)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _transient(rec, mode, t_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        blocks = (peak - 8 * t_max) / (8 * f * (_BLOCK + 4))
+        assert blocks < 4.5, f"{mode} peaked at {blocks:.1f} blocks above its output"
 
 
 class TestErrorRecursion:
