@@ -24,7 +24,8 @@ from . import io as gio
 from ._version import __version__
 from .graph import build_knn_graph, gft_basis, laplacian
 from .harness import (DEFAULT_BURN_IN, ConfigError, _to_db, prepare_experiment,
-                      run_experiment, synthetic_stations, tail_deviation_db, theory_curves)
+                      run_experiment, synthetic_stations, tail_deviation_db, tail_slice,
+                      theory_curves)
 
 DEFAULT_CACHE_DIR = ".gspest-cache"
 
@@ -134,10 +135,10 @@ def cmd_compare(args) -> int:
     if not 0 <= args.burn_in < 1:
         raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])
     t_count = cols["t"].shape[0]
-    start = int(args.burn_in * t_count)
-    tail = slice(start, t_count)
+    tail = tail_slice(t_count, args.burn_in)
+    n_tail = t_count - tail.start
     emp = cols["msd_emp_db"][tail]
-    report = {"burn_in_fraction": args.burn_in, "n_tail": t_count - start, "modes": {}}
+    report = {"burn_in_fraction": args.burn_in, "n_tail": n_tail, "modes": {}}
     for mode, col in (("paper", "msd_theory_paper_db"), ("exact", "msd_theory_exact_db")):
         theory = cols[col][tail]
         max_abs, mean_abs = tail_deviation_db(emp, theory)
@@ -149,7 +150,7 @@ def cmd_compare(args) -> int:
                                  "mean_abs_db": mean_abs if math.isfinite(mean_abs) else None,
                                  "n_nonfinite": nonfinite}
         print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
-              f"max = {max_abs:.4f} dB over {t_count - start} iterations "
+              f"max = {max_abs:.4f} dB over {n_tail} iterations "
               f"({nonfinite['nan']} nan, {nonfinite['-inf']} -inf points)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

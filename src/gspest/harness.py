@@ -273,14 +273,18 @@ def tail_deviation_db(emp_db: np.ndarray, theory_db: np.ndarray) -> tuple[float,
     return float(np.max(dev)), float(np.mean(dev))
 
 
-def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> DeviationStats:
-    """Tail deviation report; the tail starts after the burn-in fraction."""
+def tail_slice(t_count: int, burn_in_fraction: float) -> slice:
+    """The iterations left after dropping the first burn-in fraction of t_count."""
     if not 0 <= burn_in_fraction < 1:
         raise ValueError(f"burn-in fraction must lie in [0, 1), got {burn_in_fraction}")
+    return slice(math.floor(burn_in_fraction * t_count), t_count)
+
+
+def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> DeviationStats:
+    """Tail deviation report; the tail starts after the burn-in fraction."""
     t_count = result.t.shape[0]
-    start = int(math.floor(burn_in_fraction * t_count))
-    tail = slice(start, t_count)
-    n_tail = t_count - start
+    tail = tail_slice(t_count, burn_in_fraction)
+    n_tail = t_count - tail.start
     emp_db = result.msd_mean_db[tail]
     paper_max, paper_mean = tail_deviation_db(emp_db, result.theory_paper_db[tail])
     exact_max, exact_mean = tail_deviation_db(emp_db, result.theory_exact_db[tail])

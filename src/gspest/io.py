@@ -32,13 +32,41 @@ class DataError(ValueError):
         super().__init__("invalid data:\n" + "\n".join(f"- {e}" for e in self.errors))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _read_csv(path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """The non-blank rows below the header, each with its file line number.
+
+    A UTF-8 byte-order mark is skipped, and the header must be `header` with
+    case and surrounding spaces ignored.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise DataError([f"{path}: empty file, expected header {','.join(header)}"])
+        if tuple(h.strip().lower() for h in got) != header:
+            raise DataError([f"{path}: header must be {','.join(header)}, got {','.join(got)}"])
+        return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows with LF line ends; csv writes floats by repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path):
+    """Parse a JSON file; a UTF-8 byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError([f"{path}: not valid JSON ({exc})"]) from exc
 
 
 def read_station_csv(path) -> StationTable:
-    """Load a station table; header must be exactly id,lat,lon,value (a UTF-8
-    byte-order mark before it is skipped).
+    """Load a station table with header id,lat,lon,value.
 
     Every malformed row is reported with its line number in one error.
     """
@@ -47,40 +75,29 @@ def read_station_csv(path) -> StationTable:
     coords: list[tuple[float, float]] = []
     values: list[float] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in _read_csv(path, STATION_HEADER):
+        if len(row) != 4:
+            errors.append(f"line {line_no}: expected 4 fields, got {len(row)}")
+            continue
+        sid = row[0].strip()
+        if not sid:
+            errors.append(f"line {line_no}: empty station id")
+            continue
+        if sid in seen:
+            errors.append(f"line {line_no}: duplicate station id {sid!r} (first at line {seen[sid]})")
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError([f"{path}: empty file, expected header {','.join(STATION_HEADER)}"])
-        if tuple(h.strip().lower() for h in header) != STATION_HEADER:
-            raise DataError(
-                [f"{path}: header must be {','.join(STATION_HEADER)}, got {','.join(header)}"])
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                errors.append(f"line {line_no}: expected 4 fields, got {len(row)}")
-                continue
-            sid = row[0].strip()
-            if not sid:
-                errors.append(f"line {line_no}: empty station id")
-                continue
-            if sid in seen:
-                errors.append(f"line {line_no}: duplicate station id {sid!r} (first at line {seen[sid]})")
-                continue
-            try:
-                lat, lon, value = (float(row[i]) for i in (1, 2, 3))
-            except ValueError:
-                errors.append(f"line {line_no}: non-numeric lat/lon/value")
-                continue
-            if not all(map(math.isfinite, (lat, lon, value))):
-                errors.append(f"line {line_no}: non-finite lat/lon/value")
-                continue
-            seen[sid] = line_no
-            ids.append(sid)
-            coords.append((lat, lon))
-            values.append(value)
+            lat, lon, value = (float(row[i]) for i in (1, 2, 3))
+        except ValueError:
+            errors.append(f"line {line_no}: non-numeric lat/lon/value")
+            continue
+        if not all(map(math.isfinite, (lat, lon, value))):
+            errors.append(f"line {line_no}: non-finite lat/lon/value")
+            continue
+        seen[sid] = line_no
+        ids.append(sid)
+        coords.append((lat, lon))
+        values.append(value)
     if errors:
         raise DataError([f"{path}: {e}" for e in errors])
     try:
@@ -91,12 +108,8 @@ def read_station_csv(path) -> StationTable:
 
 
 def write_station_csv(path, stations: StationTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATION_HEADER)
-        for i, sid in enumerate(stations.ids):
-            writer.writerow([sid, _fmt(stations.coords[i, 0]), _fmt(stations.coords[i, 1]),
-                             _fmt(stations.signal[i])])
+    _write_csv(path, STATION_HEADER,
+               zip(stations.ids, *stations.coords.T.tolist(), stations.signal.tolist()))
 
 
 def station_digest(stations: StationTable) -> str:
@@ -127,12 +140,7 @@ def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError([f"{path}: not valid JSON ({exc})"]) from exc
-    return parse_config(data, source=str(path))
+    return parse_config(_read_json(path), source=str(path))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -144,43 +152,28 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def write_results_csv(path, result: RunResult) -> None:
     """Empirical and theory curves, one row per iteration."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(RESULTS_HEADER) + "\n")
-        for i in range(result.t.shape[0]):
-            fh.write(f"{int(result.t[i])},{_fmt(result.msd_mean_db[i])},"
-                     f"{_fmt(result.theory_paper_db[i])},{_fmt(result.theory_exact_db[i])}\n")
+    _write_csv(path, RESULTS_HEADER, zip(result.t.tolist(), result.msd_mean_db.tolist(),
+                                         result.theory_paper_db.tolist(),
+                                         result.theory_exact_db.tolist()))
 
 
 def write_theory_csv(path, t: np.ndarray, paper_db: np.ndarray, exact_db: np.ndarray) -> None:
     """Theory-only curves: the run schema minus the empirical column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(THEORY_HEADER) + "\n")
-        for i in range(t.shape[0]):
-            fh.write(f"{int(t[i])},{_fmt(paper_db[i])},{_fmt(exact_db[i])}\n")
+    _write_csv(path, THEORY_HEADER, zip(t.tolist(), paper_db.tolist(), exact_db.tolist()))
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:
     """Read a results CSV back into column arrays, validating the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise DataError([f"{path}: empty file"])
-        if header != RESULTS_HEADER:
-            raise DataError(
-                [f"{path}: header must be {','.join(RESULTS_HEADER)}, got {','.join(header)}"])
-        rows = [row for row in reader if row]
     errors = []
     parsed = []
-    for offset, row in enumerate(rows):
+    for line_no, row in _read_csv(path, RESULTS_HEADER):
         if len(row) != len(RESULTS_HEADER):
-            errors.append(f"line {offset + 2}: expected {len(RESULTS_HEADER)} fields, got {len(row)}")
+            errors.append(f"line {line_no}: expected {len(RESULTS_HEADER)} fields, got {len(row)}")
             continue
         try:
             parsed.append([float(c) for c in row])
         except ValueError:
-            errors.append(f"line {offset + 2}: non-numeric field")
+            errors.append(f"line {line_no}: non-numeric field")
     if errors:
         raise DataError([f"{path}: {e}" for e in errors])
     if not parsed:
@@ -221,8 +214,7 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or "config" not in data:
         raise DataError([f"{path}: not a run manifest"])
     return data
@@ -256,16 +248,9 @@ def save_graph_cache(cache_dir, stations: StationTable, k: int, basis: GftBasis)
 
 
 def write_node_list(path, stations: StationTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon"])
-        for i, sid in enumerate(stations.ids):
-            writer.writerow([sid, _fmt(stations.coords[i, 0]), _fmt(stations.coords[i, 1])])
+    _write_csv(path, ("id", "lat", "lon"), zip(stations.ids, *stations.coords.T.tolist()))
 
 
 def write_edge_list(path, stations: StationTable, graph: Graph) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target"])
-        for i, j in graph.edge_list():
-            writer.writerow([stations.ids[i], stations.ids[j]])
+    _write_csv(path, ("source", "target"),
+               ((stations.ids[i], stations.ids[j]) for i, j in graph.edge_list()))

@@ -4,6 +4,7 @@ CSV writers use shortest round-trip float formatting, so most checks here
 can compare byte-for-byte instead of within tolerance.
 """
 
+import csv
 import dataclasses
 import errno
 import json
@@ -19,6 +20,7 @@ from gspest import (
     ConfigError,
     ExperimentConfig,
     build_knn_graph,
+    compare,
     gft_basis,
     laplacian,
     prepare_experiment,
@@ -252,6 +254,18 @@ class TestResultsCsv:
         assert "line 3: non-numeric field" in text
         assert "line 4: expected 4 fields, got 3" in text
 
+    def test_bad_line_named_by_its_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(self.HEADER + "\n1,0.0,0.0,0.0\n\n \n3,x,0.0,0.0\n")
+        with pytest.raises(DataError) as err:
+            gio.read_results_csv(path)
+        assert err.value.errors == [f"{path}: line 5: non-numeric field"]
+
+    def test_header_case_and_padding_tolerated(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(" T,MSD_emp_db , msd_theory_paper_db,msd_theory_exact_DB\n1,-1.5,-2.0,-2.5\n")
+        assert gio.read_results_csv(path)["msd_theory_exact_db"].tolist() == [-2.5]
+
 
 class TestTheoryCsv:
     def test_header_and_values(self, tmp_path):
@@ -375,6 +389,12 @@ class TestManifest:
         with pytest.raises(DataError, match="not a run manifest"):
             gio.read_manifest(path)
 
+    def test_read_rejects_bad_json_as_data_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"config": ')
+        with pytest.raises(DataError, match="not valid JSON"):
+            gio.read_manifest(path)
+
     def test_rerun_from_manifest_config_reproduces_csv(self, tmp_path):
         config = small_config(iterations=25, runs=3)
         stations = synthetic_stations(config.n_stations, config.stations_seed)
@@ -389,6 +409,74 @@ class TestManifest:
         second = tmp_path / "second.csv"
         gio.write_results_csv(second, run_experiment(config2, stations))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestByteOrderMark:
+    """Every input may start with the UTF-8 byte-order mark that spreadsheet
+    programs and some editors write; it reads like the plain file."""
+
+    @staticmethod
+    def marked_copy(path):
+        marked = path.with_name("marked-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    def test_config_runs_like_the_plain_file(self, tmp_path, capsys):
+        plain = tmp_path / "config.json"
+        plain.write_text(json.dumps(SMALL_CONFIG))
+        cache = str(tmp_path / "cache")
+        for config, out in ((plain, "plain.csv"), (self.marked_copy(plain), "marked.csv")):
+            assert main(["theory", str(config), "--out", str(tmp_path / out),
+                         "--cache-dir", cache]) == 0, capsys.readouterr().err
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_results_csv_compares_like_the_plain_file(self, tmp_path, result):
+        plain = tmp_path / "res.csv"
+        gio.write_results_csv(plain, result)
+        for csv_path, report in ((plain, "plain.json"), (self.marked_copy(plain), "marked.json")):
+            assert main(["compare", str(csv_path), "--json", str(tmp_path / report)]) == 0
+        assert (json.loads((tmp_path / "marked.json").read_text())
+                == json.loads((tmp_path / "plain.json").read_text()))
+
+    def test_manifest_reads_like_the_plain_file(self, tmp_path, result):
+        plain = tmp_path / "m.json"
+        stations = synthetic_stations(result.config.n_stations, result.config.stations_seed)
+        gio.write_manifest(plain, gio.build_manifest(result, stations, 0.5))
+        assert gio.read_manifest(self.marked_copy(plain)) == gio.read_manifest(plain)
+
+
+class TestCsvWriters:
+    @staticmethod
+    def write_each(tmp_path, result, cache_pieces):
+        stations, graph, _ = cache_pieces
+        paths = {name: tmp_path / f"{name}.csv" for name in
+                 ("results", "theory", "stations", "nodes", "edges")}
+        gio.write_results_csv(paths["results"], result)
+        gio.write_theory_csv(paths["theory"], result.t, result.theory_paper_db,
+                             result.theory_exact_db)
+        gio.write_station_csv(paths["stations"], stations)
+        gio.write_node_list(paths["nodes"], stations)
+        gio.write_edge_list(paths["edges"], stations, graph)
+        return paths
+
+    def test_every_line_ends_with_lf(self, tmp_path, result, cache_pieces):
+        for name, path in self.write_each(tmp_path, result, cache_pieces).items():
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, name
+
+    def test_node_and_edge_lists_parse_with_csv(self, tmp_path, result, cache_pieces):
+        # the station table's read-back is TestStationCsv.test_round_trip_is_exact
+        stations, graph, _ = cache_pieces
+        paths = self.write_each(tmp_path, result, cache_pieces)
+        with open(paths["nodes"], newline="") as fh:
+            nodes = list(csv.reader(fh))
+        assert nodes[0] == ["id", "lat", "lon"]
+        assert [row[0] for row in nodes[1:]] == list(stations.ids)
+        assert_array_equal([[float(c) for c in row[1:]] for row in nodes[1:]], stations.coords)
+        with open(paths["edges"], newline="") as fh:
+            edges = list(csv.reader(fh))
+        ids = stations.ids
+        assert edges == [["source", "target"]] + [[ids[i], ids[j]] for i, j in graph.edge_list()]
 
 
 class TestGraphCache:
@@ -631,6 +719,16 @@ class TestCliCompare:
         paper, exact = report["modes"]["paper"], report["modes"]["exact"]
         assert paper["max_abs_db"] is None and paper["mean_abs_db"] is None
         assert exact["max_abs_db"] == 0.25 and exact["mean_abs_db"] == 0.25
+
+    @pytest.mark.parametrize("burn_in", [0.0, 0.3, 0.5, 0.8, 0.99])
+    def test_tail_is_the_one_compare_takes(self, tmp_path, result, burn_in):
+        path, report_path = tmp_path / "res.csv", tmp_path / "report.json"
+        gio.write_results_csv(path, result)
+        assert main(["compare", str(path), "--burn-in", str(burn_in),
+                     "--json", str(report_path)]) == 0
+        report, stats = json.loads(report_path.read_text()), compare(result, burn_in)
+        assert report["n_tail"] == stats.n_tail
+        assert report["modes"]["exact"]["mean_abs_db"] == stats.exact_mean_abs_db
 
     def test_bad_burn_in_exits_2(self, tmp_path, capsys):
         out = self.make_results(tmp_path)

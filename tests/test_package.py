@@ -1,7 +1,8 @@
 """Package hygiene: no module imports a name it never uses, every exported
 name resolves and has a caller outside the tests, only estimators.py
 branches on an estimator's name, only harness.py lists the config's fields,
-and no constructor freezes its caller's arrays."""
+only io.py's one reader or writer per format calls csv or json, and no
+constructor freezes its caller's arrays."""
 
 import ast
 import dataclasses
@@ -121,6 +122,49 @@ def test_checker_flags_a_config_field_list():
     source = ('a = ("algorithm", "param", "k")\nb = ["runs", "k", 3]\n'
               'c = {"runs", "k", "iterations", "x"}\nd = f(runs=1, k=2, param=3)\n')
     assert config_field_lists(source) == ["line 1", "line 3"]
+
+
+# each file-format call and the one function in io.py allowed to make it
+FORMAT_CALLS = {("csv", "reader"): "_read_csv", ("csv", "writer"): "_write_csv",
+                ("json", "load"): "_read_json"}
+
+
+def format_calls_outside_owner(source: str, module: str) -> list[str]:
+    """Lines that refer to csv.reader, csv.writer or json.load (or import one
+    by name) outside the function of io.py that owns it."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if module == "io" and isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            else:
+                continue
+            found += [f"line {node.lineno}: {'.'.join(name)}" for name in names
+                      if name in FORMAT_CALLS and FORMAT_CALLS[name] != owner]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_reader_and_writer_per_file_format(path):
+    # every input gets the same byte-order-mark, blank-row and line-number
+    # rules, and every CSV output the same line ends, from one place each
+    assert format_calls_outside_owner(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_checker_flags_a_format_call_outside_its_owner():
+    source = ("import csv, json\nfrom csv import writer\n"
+              "def _read_csv(p):\n    return csv.reader(p), json.load(p)\n"
+              "def _write_csv(p):\n    return csv.writer(p), csv.DictWriter(p)\n"
+              "def _read_json(p):\n    return json.load(p), json.dump(1, p)\n"
+              "r = csv.reader\n")
+    assert format_calls_outside_owner(source, "io") == [
+        "line 2: csv.writer", "line 4: json.load", "line 9: csv.reader"]
+    assert format_calls_outside_owner(source, "cli") == [
+        "line 2: csv.writer", "line 4: csv.reader", "line 4: json.load", "line 6: csv.writer",
+        "line 8: json.load", "line 9: csv.reader"]
 
 
 def _constructors(arr):
