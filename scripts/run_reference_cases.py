@@ -4,14 +4,16 @@
 Covers both estimators, both graph/bandwidth cases, all three noise
 scenarios and both parameter values per case, then prints a tail-deviation
 summary for the two theory modes. Plot the CSVs with any tool; the columns
-are t, msd_emp_db, msd_theory_paper_db, msd_theory_exact_db.
+are t, msd_emp_db, msd_theory_paper_db, msd_theory_exact_db. With
+--stations, each row's manifest config names that path as stations_csv, so
+`gspest run` of the config reproduces the row's CSV.
 """
 
 import argparse
 import os
 import time
 
-from gspest import (ExperimentConfig, build_knn_graph, gft_basis, laplacian,
+from gspest import (SCENARIOS, ExperimentConfig, build_knn_graph, gft_basis, laplacian,
                     run_experiment, synthetic_stations)
 from gspest import io as gio
 from gspest.estimators import ESTIMATORS
@@ -27,11 +29,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="directory for CSVs")
     parser.add_argument("--stations", default=None,
-                        help="station CSV (default: synthetic 299-station table)")
+                        help="station CSV, recorded as each row's stations_csv "
+                             "(default: synthetic 299-station table)")
     parser.add_argument("--seed", type=int, default=42, help="master seed")
     parser.add_argument("--runs", type=int, default=50, help="Monte Carlo runs per row")
-    parser.add_argument("--scenarios", nargs="+", default=["i", "ii", "iii"],
-                        choices=["i", "ii", "iii"])
+    parser.add_argument("--scenarios", nargs="+", default=list(SCENARIOS),
+                        choices=list(SCENARIOS))
     parser.add_argument("--algorithms", nargs="+", default=list(ESTIMATORS),
                         choices=list(ESTIMATORS))
     args = parser.parse_args()
@@ -59,7 +62,7 @@ def main() -> int:
                         bandwidth=spec["bandwidth"], sample_size=210,
                         scenario=scenario, iterations=ITERATIONS[algorithm],
                         runs=args.runs, master_seed=args.seed,
-                        n_stations=stations.n)
+                        stations_csv=args.stations, n_stations=stations.n)
                     started = time.monotonic()
                     result = run_experiment(config, stations, bases[spec["k"]])
                     duration = time.monotonic() - started

@@ -14,7 +14,7 @@ from .graph import (BandBasis, GftBasis, Graph, StationTable, band_select,
 from .harness import (ConfigError, DeviationStats, ExperimentConfig, RunResult, compare,
                       prepare_experiment, run_experiment, synthetic_stations)
 from .io import DataError
-from .noise import SCENARIOS, NoiseModel, build_cw, noiseless, scenario_coefficients
+from .noise import SCENARIOS, NoiseModel, build_cw, scenario_coefficients
 from .sampling import (SamplingSet, check_recoverability, greedy_max_lambda_min,
                        random_sampling, sampled_gram)
 from .theory import (TheoryCurve, lms_theory_exact, lms_theory_paper, rls_theory_exact,
@@ -27,7 +27,7 @@ __all__ = [
     "project_bandlimited",
     "SamplingSet", "check_recoverability",
     "greedy_max_lambda_min", "random_sampling", "sampled_gram",
-    "SCENARIOS", "NoiseModel", "build_cw", "noiseless", "scenario_coefficients",
+    "SCENARIOS", "NoiseModel", "build_cw", "scenario_coefficients",
     "SignalModel", "lms_msd_trajectory", "rls_gain_matrix", "rls_msd_trajectory",
     "TheoryCurve", "lms_theory_exact", "lms_theory_paper",
     "rls_theory_exact", "rls_theory_paper",

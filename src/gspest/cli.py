@@ -67,18 +67,17 @@ def _inputs(args, *outputs):
     output and is opened for appending first, so a bad one fails before
     anything is computed."""
     config = _apply_overrides(gio.load_config(args.config), args)
-    stations_path = args.stations or config.stations_csv
-    _require_distinct([("config", args.config), ("stations", stations_path)], outputs)
+    _require_distinct([("config", args.config), ("stations", config.stations_csv)], outputs)
     for _, path in outputs:
         existed = os.path.lexists(path)
         with open(path, "a", encoding="utf-8"):
             pass
         if not existed:
             os.remove(path)
-    if stations_path is None:
+    if config.stations_csv is None:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
     else:
-        stations = gio.read_station_csv(stations_path)
+        stations = gio.read_station_csv(config.stations_csv)
     return config, stations, _cached_basis(args.cache_dir, stations, config.k)
 
 
@@ -129,11 +128,11 @@ def cmd_theory(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0 <= args.burn_in < 1:
+        raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])
     if args.json:
         _require_distinct([("results", args.results_csv)], [("--json", args.json)])
     cols = gio.read_results_csv(args.results_csv)
-    if not 0 <= args.burn_in < 1:
-        raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])
     t_count = cols["t"].shape[0]
     tail = tail_slice(t_count, args.burn_in)
     n_tail = t_count - tail.start
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="experiment config (flat JSON)")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--stations", default=None, help="station CSV overriding the config")
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--runs", type=int, default=None, help="override run count")

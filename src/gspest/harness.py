@@ -23,7 +23,7 @@ from . import estimators, theory
 from .estimators import ErrorRecursion, SignalModel, estimator
 from .graph import (StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
-from .noise import build_cw, noiseless, scenario_coefficients
+from .noise import build_cw, scenario_coefficients
 from .sampling import greedy_max_lambda_min, random_sampling
 from .theory import TheoryCurve, limits
 
@@ -199,11 +199,7 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         sampling = greedy_max_lambda_min(band, config.sample_size)
     else:
         sampling = random_sampling(band, config.sample_size, sampling_seed(config.master_seed))
-    n_a, n_b = config.scenario_pair()
-    if n_a == 0 and n_b == 0:
-        noise = noiseless(stations.n)
-    else:
-        noise = build_cw(n_a, n_b, stations.n, covariance_seed(config.master_seed))
+    noise = build_cw(*config.scenario_pair(), stations.n, covariance_seed(config.master_seed))
     s_f, _ = project_bandlimited(band, stations.signal)
     model = SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)
     model.require_recoverable()

@@ -32,6 +32,11 @@ class DataError(ValueError):
         super().__init__("invalid data:\n" + "\n".join(f"- {e}" for e in self.errors))
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    return DataError([f"{path}: not UTF-8 text (cannot decode byte "
+                      f"0x{exc.object[exc.start]:02x}); save it as UTF-8"])
+
+
 def _read_csv(path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
     """The non-blank rows below the header, each with its file line number.
 
@@ -40,12 +45,16 @@ def _read_csv(path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise DataError([f"{path}: empty file, expected header {','.join(header)}"])
-        if tuple(h.strip().lower() for h in got) != header:
-            raise DataError([f"{path}: header must be {','.join(header)}, got {','.join(got)}"])
-        return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+        try:
+            got = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
+    if got is None:
+        raise DataError([f"{path}: empty file, expected header {','.join(header)}"])
+    if tuple(h.strip().lower() for h in got) != header:
+        raise DataError([f"{path}: header must be {','.join(header)}, got {','.join(got)}"])
+    return rows
 
 
 def _write_csv(path, header, rows) -> None:
@@ -61,6 +70,8 @@ def _read_json(path):
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
         except json.JSONDecodeError as exc:
             raise DataError([f"{path}: not valid JSON ({exc})"]) from exc
 

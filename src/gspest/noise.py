@@ -51,23 +51,16 @@ def build_cw(n_a: float, n_b: float, n: int, seed: int) -> NoiseModel:
     """Draw the covariance diagonal c_w = n_a * |a| + n_b * 1, a ~ N(0, I).
 
     The draw happens once; the same seed always yields the same covariance.
-    Coefficients must be nonnegative and not both zero (an all-zero
-    covariance breaks estimators that weight by its inverse; use
-    ``noiseless`` for deliberate noise-free studies).
+    Coefficients must be nonnegative; (0, 0) gives the all-zero covariance
+    of a noise-free run, which estimators that weight by its inverse refuse
+    through their estimators.ESTIMATORS record.
     """
     if n_a < 0 or n_b < 0:
         raise ValueError("noise coefficients must be nonnegative")
-    if n_a == 0 and n_b == 0:
-        raise ValueError("noise coefficients must not both be zero")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n)
     c_w = n_a * np.abs(a) + n_b * np.ones(n)
     return NoiseModel(c_w=c_w)
-
-
-def noiseless(n: int) -> NoiseModel:
-    """All-zero covariance for deterministic (noise-free) runs."""
-    return NoiseModel(c_w=np.zeros(n))
 
 
 def scenario_coefficients(scenario) -> tuple[float, float]:

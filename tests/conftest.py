@@ -10,7 +10,7 @@ from gspest import (
     NoiseModel,
     SamplingSet,
     SignalModel,
-    noiseless,
+    build_cw,
     prepare_experiment,
 )
 from gspest.harness import synthetic_stations
@@ -63,7 +63,7 @@ def hand_model():
     band = BandBasis(f=1, u_f=np.array([[0.6], [0.8]]))
     sampling = SamplingSet(indices=(0,), n=2)
     s_f = np.array([2.0])
-    return SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noiseless(2))
+    return SignalModel(band=band, s_f=s_f, sampling=sampling, noise=build_cw(0.0, 0.0, 2, 0))
 
 
 @pytest.fixture()

@@ -39,7 +39,6 @@ from gspest import (
     lms_msd_trajectory,
     lms_theory_exact,
     lms_theory_paper,
-    noiseless,
     prepare_experiment,
     random_sampling,
     rls_gain_matrix,
@@ -309,7 +308,7 @@ class TestAcceptance:
         assert_allclose(no_step, energy, rtol=1e-12)
 
         quiet = SignalModel(band=model.band, s_f=model.s_f,
-                            sampling=model.sampling, noise=noiseless(model.band.n))
+                            sampling=model.sampling, noise=build_cw(0.0, 0.0, model.band.n, 0))
         theory = lms_theory_paper(quiet, 0.5, 200).values
         sim = lms_msd_trajectory(quiet, 0.5, 200, [np.random.default_rng(0)])[0]
         assert_allclose(theory, sim, rtol=1e-9)

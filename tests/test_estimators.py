@@ -17,9 +17,9 @@ from gspest import (
     NoiseModel,
     SamplingSet,
     SignalModel,
+    build_cw,
     check_recoverability,
     lms_msd_trajectory,
-    noiseless,
     rls_gain_matrix,
     rls_msd_trajectory,
     run_experiment,
@@ -159,14 +159,14 @@ class TestSignalModel:
     def test_stable_step_range(self):
         band = random_orthonormal(9, 4, seed=5)
         s = SamplingSet(indices=tuple(range(9)), n=9)
-        model = SignalModel(band=band, s_f=np.zeros(4), sampling=s, noise=noiseless(9))
+        model = SignalModel(band=band, s_f=np.zeros(4), sampling=s, noise=build_cw(0.0, 0.0, 9, 0))
         model.require_recoverable()
         assert_allclose(model.mu_max, 2.0, rtol=1e-12)
 
     def test_stable_step_range_requires_recoverable(self):
         band = random_orthonormal(10, 4, seed=7)
-        model = SignalModel(band=band, s_f=np.zeros(4),
-                            sampling=SamplingSet(indices=(0, 1), n=10), noise=noiseless(10))
+        model = SignalModel(band=band, s_f=np.zeros(4), sampling=SamplingSet(indices=(0, 1), n=10),
+                            noise=build_cw(0.0, 0.0, 10, 0))
         with pytest.raises(ValueError):
             model.require_recoverable()
 
@@ -456,7 +456,7 @@ class TestEstimatorTable:
     @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
     def test_positive_noise_rule_holds_at_both_doors(self, setup10, algorithm):
         param = next(p for p in CANDIDATES if model_door(setup10, algorithm, p) is None)
-        quiet = replace(setup10, noise=noiseless(setup10.n))
+        quiet = replace(setup10, noise=build_cw(0.0, 0.0, setup10.n, 0))
         refused_by_model = model_door(quiet, algorithm, param) is not None
         refused_by_config = bool(config_door(algorithm, param, scenario=(0.0, 0.0)))
         assert refused_by_model == refused_by_config == ESTIMATORS[algorithm].positive_noise

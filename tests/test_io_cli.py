@@ -626,16 +626,25 @@ class TestCliRun:
         main(["run", config_path, "--out", str(second), "--cache-dir", cache])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_explicit_stations_flag(self, tmp_path):
-        config_path = write_config(tmp_path, iterations=10, runs=2)
+    def test_config_names_the_station_table(self, tmp_path, capsys):
+        synthetic = write_config(tmp_path, iterations=10, runs=2)
         stations_path = write_stations(tmp_path, n=10, seed=2018)
+        named = write_config(tmp_path, name="named.json", iterations=10, runs=2,
+                             stations_csv=stations_path)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         cache = str(tmp_path / "cache")
-        main(["run", config_path, "--out", str(out_a), "--cache-dir", cache])
-        main(["run", config_path, "--out", str(out_b), "--cache-dir", cache,
-              "--stations", stations_path])
+        assert main(["run", synthetic, "--out", str(out_a), "--cache-dir", cache]) == 0
+        assert main(["run", named, "--out", str(out_b), "--cache-dir", cache]) == 0
         # same synthetic table either way, so identical output
         assert out_a.read_bytes() == out_b.read_bytes()
+        # the config is the one place that names the table
+        for command in ("run", "theory"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, synthetic, "--out", str(tmp_path / "c.csv"),
+                      "--stations", stations_path])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --stations" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestCliTheory:
@@ -735,6 +744,10 @@ class TestCliCompare:
         assert main(["compare", str(out), "--burn-in", "1.5"]) == 2
         assert "--burn-in" in capsys.readouterr().err
 
+    def test_burn_in_checked_before_reading_the_csv(self, tmp_path, capsys):
+        assert main(["compare", str(tmp_path / "missing.csv"), "--burn-in", "2"]) == 2
+        assert "--burn-in must lie in [0, 1), got 2.0" in capsys.readouterr().err
+
 
 class TestCliErrors:
     def test_missing_config_file_exits_3(self, tmp_path, capsys):
@@ -806,6 +819,25 @@ class TestCliErrors:
         assert code == 2
         assert "stations_csv" in capsys.readouterr().err
         assert left == header
+
+    @pytest.mark.parametrize("command", ["build-graph", "theory"])
+    def test_non_utf8_input_exits_3_naming_the_file(self, tmp_path, capsys, command):
+        # a Latin-1 file: "ã" is the one byte 0xe3, which is no UTF-8 sequence
+        if command == "build-graph":
+            path = tmp_path / "stations.csv"
+            path.write_bytes("id,lat,lon,value\nSão,-23.5,-46.6,20\nRio,-22.9,-43.2,25\n"
+                             "Bsb,-15.8,-47.9,22\n".encode("latin-1"))
+            argv = ["build-graph", str(path), "--k", "1"]
+        else:
+            path = tmp_path / "config.json"
+            data = {**SMALL_CONFIG, "stations_csv": "São.csv"}
+            path.write_bytes(json.dumps(data, ensure_ascii=False).encode("latin-1"))
+            argv = ["theory", str(path), "--out", str(tmp_path / "o.csv")]
+        code = main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"- {path}: not UTF-8 text (cannot decode byte 0xe3); save it as UTF-8"]
+        assert not (tmp_path / "cache").exists()
 
     def test_workers_key_rejected(self, tmp_path, capsys):
         config_path = write_config(tmp_path, workers=1)

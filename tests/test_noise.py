@@ -8,7 +8,6 @@ from gspest import (
     SCENARIOS,
     NoiseModel,
     build_cw,
-    noiseless,
     scenario_coefficients,
 )
 
@@ -83,12 +82,13 @@ class TestBuildCw:
             build_cw(-0.1, 0.0, 4, seed=0)
         with pytest.raises(ValueError):
             build_cw(0.0, -0.1, 4, seed=0)
-        with pytest.raises(ValueError):
-            build_cw(0.0, 0.0, 4, seed=0)
+        # (0, 0) is the noise-free law: every variance +0.0, whatever the seed
+        for seed in (0, 7):
+            assert build_cw(0.0, 0.0, 4, seed=seed).c_w.tobytes() == np.zeros(4).tobytes()
 
 
 def test_noiseless():
-    model = noiseless(5)
+    model = build_cw(0.0, 0.0, 5, seed=0)
     assert model.n == 5
     assert np.all(model.c_w == 0)
     assert np.all(draw_noise(model, np.random.default_rng(0)) == 0)

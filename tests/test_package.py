@@ -179,7 +179,7 @@ def _constructors(arr):
         "NoiseModel": lambda: gspest.NoiseModel(c_w=arr([0.25, 0.5])),
         "SignalModel": lambda: gspest.SignalModel(
             band=band, s_f=arr([2.0]),
-            sampling=gspest.SamplingSet(indices=(0,), n=2), noise=gspest.noiseless(2)),
+            sampling=gspest.SamplingSet(indices=(0,), n=2), noise=gspest.build_cw(0.0, 0.0, 2, 0)),
         "LmsState": lambda: oracle.LmsState(s_hat=arr([0.0]), mu=0.5, t=1),
         "RlsState": lambda: oracle.RlsState(s_hat=arr([0.0]), lam=0.5, m_mat=arr([[1.0]]), t=1),
         "TheoryCurve": lambda: gspest.TheoryCurve(mode="exact", values=arr([4.0, 1.0])),

@@ -1,6 +1,8 @@
 """The reproduction entry point, scripts/run_reference_cases.py, runs end to
-end on a reduced grid and writes one results CSV and manifest per row."""
+end on a reduced grid and writes one results CSV and manifest per row, and
+each manifest's config reruns its row's CSV."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -8,20 +10,26 @@ import sys
 
 import gspest
 from gspest import io as gio
+from gspest.cli import main
+from gspest.harness import synthetic_stations
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_reference_cases_script_writes_results_and_manifests(tmp_path):
+def run_reference_cases(tmp_path, *args):
     env = dict(os.environ)
     src = str(pathlib.Path(gspest.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_reference_cases.py"), "--runs", "2",
-         "--scenarios", "iii", "--algorithms", "rls", "--out-dir", str(tmp_path)],
+         "--scenarios", "iii", "--algorithms", "rls", "--out-dir", str(tmp_path), *args],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reference_cases_script_writes_results_and_manifests(tmp_path):
+    run_reference_cases(tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert names == ["rls_case1_iii_p0.61.csv", "rls_case1_iii_p0.85.csv",
                      "rls_case2_iii_p0.55.csv", "rls_case2_iii_p0.79.csv"]
@@ -33,3 +41,22 @@ def test_reference_cases_script_writes_results_and_manifests(tmp_path):
         assert manifest["config"]["algorithm"] == "rls" and manifest["config"]["runs"] == 2
         assert str(manifest["config"]["param"]) in name
         assert len(manifest["sampling_indices"]) == 210
+
+
+def test_manifest_config_reruns_the_csv_of_a_station_file(tmp_path):
+    # a table other than the default synthetic one: the manifest's config must name it
+    stations_path = str(tmp_path / "stations7.csv")
+    gio.write_station_csv(stations_path, synthetic_stations(299, 7))
+    run_reference_cases(tmp_path, "--stations", stations_path)
+    names = sorted(p.name for p in tmp_path.glob("rls_*.csv"))
+    assert len(names) == 4
+    for name in names:
+        config = gio.read_manifest(tmp_path / (name + ".manifest.json"))["config"]
+        assert config["stations_csv"] == stations_path
+        config_path = tmp_path / "rerun.json"
+        config_path.write_text(json.dumps(config))
+        rerun = tmp_path / "rerun" / name
+        rerun.parent.mkdir(exist_ok=True)
+        assert main(["run", str(config_path), "--out", str(rerun),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert rerun.read_bytes() == (tmp_path / name).read_bytes()
