@@ -7,12 +7,10 @@ a results CSV).
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable or
 unreadable path, an output path naming an input or another output, and a
-LinAlgError included), 3 input data error or missing file.
+LinAlgError included), 3 input data error or missing file or directory.
 """
 
 import argparse
-import json
-import math
 import os
 import sys
 import time
@@ -24,8 +22,7 @@ from . import io as gio
 from ._version import __version__
 from .graph import build_knn_graph, gft_basis, laplacian
 from .harness import (DEFAULT_BURN_IN, ConfigError, _to_db, prepare_experiment,
-                      run_experiment, synthetic_stations, tail_deviation_db, tail_slice,
-                      theory_curves)
+                      run_experiment, synthetic_stations, tail_report, theory_curves)
 
 DEFAULT_CACHE_DIR = ".gspest-cache"
 
@@ -49,31 +46,29 @@ def _apply_overrides(config, args):
     return replace(config, **overrides) if overrides else config
 
 
-def _require_distinct(inputs, outputs):
-    """Refuse an output path that names an input or another output (after
-    resolving links), since writing it would destroy that file. Both are
-    (label, path) pairs; an input path of None is skipped."""
+def _claim_outputs(inputs, outputs):
+    """Refuse each (label, path) output that names an input or an earlier
+    output (after resolving links), then open it for appending, so a missing
+    directory (exit 3) or an unwritable path (exit 2) fails before anything is
+    read or computed. An input path of None is skipped."""
     seen = {os.path.realpath(path): f"{label} {path}" for label, path in inputs if path}
     for label, path in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{label} {path} is the same file as {seen[real]}")
         seen[real] = f"{label} {path}"
-
-
-def _inputs(args, *outputs):
-    """Config (with overrides), station table and graph basis of a run or
-    theory command. Each (label, path) output must name no input or other
-    output and is opened for appending first, so a bad one fails before
-    anything is computed."""
-    config = _apply_overrides(gio.load_config(args.config), args)
-    _require_distinct([("config", args.config), ("stations", config.stations_csv)], outputs)
-    for _, path in outputs:
         existed = os.path.lexists(path)
         with open(path, "a", encoding="utf-8"):
             pass
         if not existed:
             os.remove(path)
+
+
+def _inputs(args, *outputs):
+    """Config (with overrides), station table and graph basis of a run or
+    theory command, after its outputs are claimed."""
+    config = _apply_overrides(gio.load_config(args.config), args)
+    _claim_outputs([("config", args.config), ("stations", config.stations_csv)], outputs)
     if config.stations_csv is None:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
     else:
@@ -113,8 +108,9 @@ def cmd_run(args) -> int:
     dev = result.deviation
     print(f"wrote {args.out} ({config.iterations} iterations, {config.runs} runs)")
     print(f"manifest: {manifest_path}")
-    print(f"tail mean |emp - theory| dB: paper {dev.paper_mean_abs_db:.3f}, "
-          f"exact {dev.exact_mean_abs_db:.3f} (burn-in {dev.burn_in_fraction:g})")
+    print(f"tail mean |emp - theory| dB: paper {dev.paper_mean_abs_db:.3f} "
+          f"({dev.paper_n_nonfinite} non-finite points), exact {dev.exact_mean_abs_db:.3f} "
+          f"({dev.exact_n_nonfinite} non-finite points); burn-in {dev.burn_in_fraction:g}")
     return 0
 
 
@@ -131,30 +127,20 @@ def cmd_compare(args) -> int:
     if not 0 <= args.burn_in < 1:
         raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])
     if args.json:
-        _require_distinct([("results", args.results_csv)], [("--json", args.json)])
+        _claim_outputs([("results", args.results_csv)], [("--json", args.json)])
     cols = gio.read_results_csv(args.results_csv)
-    t_count = cols["t"].shape[0]
-    tail = tail_slice(t_count, args.burn_in)
-    n_tail = t_count - tail.start
-    emp = cols["msd_emp_db"][tail]
+    n_tail, modes = tail_report(cols["msd_emp_db"], cols["msd_theory_paper_db"],
+                                cols["msd_theory_exact_db"], args.burn_in)
     report = {"burn_in_fraction": args.burn_in, "n_tail": n_tail, "modes": {}}
-    for mode, col in (("paper", "msd_theory_paper_db"), ("exact", "msd_theory_exact_db")):
-        theory = cols[col][tail]
-        max_abs, mean_abs = tail_deviation_db(emp, theory)
-        # a nan or -inf point in either curve makes the max and mean nan
-        nonfinite = {"nan": int(np.sum(np.isnan(emp) | np.isnan(theory))),
-                     "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory)))}
-        # strict JSON has no NaN token, so a non-finite deviation is written as null
-        report["modes"][mode] = {"max_abs_db": max_abs if math.isfinite(max_abs) else None,
-                                 "mean_abs_db": mean_abs if math.isfinite(mean_abs) else None,
-                                 "n_nonfinite": nonfinite}
+    for mode, dev in modes.items():
+        max_abs, mean_abs, nonfinite = dev["max_abs_db"], dev["mean_abs_db"], dev["by_kind"]
+        report["modes"][mode] = gio.finite_or_null(
+            {"max_abs_db": max_abs, "mean_abs_db": mean_abs, "n_nonfinite": nonfinite})
         print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
               f"max = {max_abs:.4f} dB over {n_tail} iterations "
               f"({nonfinite['nan']} nan, {nonfinite['-inf']} -inf points)")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        gio.write_json(args.json, report)
         print(f"report: {args.json}")
     return 0
 

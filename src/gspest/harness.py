@@ -222,8 +222,10 @@ class DeviationStats:
     n_tail: int
     paper_max_abs_db: float
     paper_mean_abs_db: float
+    paper_n_nonfinite: int  # tail points where either curve is not finite
     exact_max_abs_db: float
     exact_mean_abs_db: float
+    exact_n_nonfinite: int
     tail_se_db: float  # average dB uncertainty of the empirical tail, delta method
     exact_tail_z: float  # |tail mean error vs exact theory| / its standard error
     # both are NaN (undefined) for a one-run experiment; when every run's tail
@@ -263,12 +265,6 @@ def _to_db(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_deviation_db(emp_db: np.ndarray, theory_db: np.ndarray) -> tuple[float, float]:
-    """Max and mean of |emp - theory| over two tail curves in decibels."""
-    dev = np.abs(np.asarray(emp_db, dtype=float) - np.asarray(theory_db, dtype=float))
-    return float(np.max(dev)), float(np.mean(dev))
-
-
 def tail_slice(t_count: int, burn_in_fraction: float) -> slice:
     """The iterations left after dropping the first burn-in fraction of t_count."""
     if not 0 <= burn_in_fraction < 1:
@@ -276,14 +272,29 @@ def tail_slice(t_count: int, burn_in_fraction: float) -> slice:
     return slice(math.floor(burn_in_fraction * t_count), t_count)
 
 
+def tail_report(emp_db: np.ndarray, paper_db: np.ndarray, exact_db: np.ndarray,
+                burn_in_fraction: float) -> tuple[int, dict]:
+    """Tail length and, per theory mode, its agreement with the empirical
+    curve over the tail, every curve in dB: the max and mean |emp - theory|,
+    the number of tail points where either curve is not finite (one such point
+    makes that max and mean nan or inf) and, by kind, those nan or -inf."""
+    tail = tail_slice(len(emp_db), burn_in_fraction)
+    emp, modes = emp_db[tail], {}
+    for mode, theory_db in (("paper", paper_db), ("exact", exact_db)):
+        theory = theory_db[tail]
+        dev = np.abs(emp - theory)
+        modes[mode] = {"max_abs_db": float(np.max(dev)), "mean_abs_db": float(np.mean(dev)),
+                       "n_nonfinite": int(np.sum(~np.isfinite(dev))),
+                       "by_kind": {"nan": int(np.sum(np.isnan(emp) | np.isnan(theory))),
+                                   "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory)))}}
+    return emp.shape[0], modes
+
+
 def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> DeviationStats:
     """Tail deviation report; the tail starts after the burn-in fraction."""
-    t_count = result.t.shape[0]
-    tail = tail_slice(t_count, burn_in_fraction)
-    n_tail = t_count - tail.start
-    emp_db = result.msd_mean_db[tail]
-    paper_max, paper_mean = tail_deviation_db(emp_db, result.theory_paper_db[tail])
-    exact_max, exact_mean = tail_deviation_db(emp_db, result.theory_exact_db[tail])
+    n_tail, modes = tail_report(result.msd_mean_db, result.theory_paper_db,
+                                result.theory_exact_db, burn_in_fraction)
+    tail = tail_slice(result.t.shape[0], burn_in_fraction)
     run_tail_means = result.per_run[:, tail].mean(axis=1)
     n_runs = run_tail_means.shape[0]
     if n_runs < 2:  # one run has no spread to take an error from
@@ -302,10 +313,8 @@ def compare(result: RunResult, burn_in_fraction: float = DEFAULT_BURN_IN) -> Dev
     return DeviationStats(
         burn_in_fraction=float(burn_in_fraction),
         n_tail=n_tail,
-        paper_max_abs_db=paper_max,
-        paper_mean_abs_db=paper_mean,
-        exact_max_abs_db=exact_max,
-        exact_mean_abs_db=exact_mean,
+        **{f"{mode}_{key}": figures[key] for mode, figures in modes.items()
+           for key in ("max_abs_db", "mean_abs_db", "n_nonfinite")},
         tail_se_db=tail_se_db,
         exact_tail_z=exact_tail_z,
     )
@@ -355,16 +364,15 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     }
     metadata.update(_limit_diagnostics(model.recursion(config.algorithm, config.param)))
     est = estimator(config.algorithm)
-    if est.stability_bound is not None:
-        bound = est.stability_bound(model)
-        metadata["mu_max"] = bound  # the manifest's name for the bound
-        metadata["stable"] = bool(config.param < bound)
-        if config.param >= bound:
-            # Divergence studies are legitimate, so an unstable parameter is
-            # flagged rather than rejected.
-            warnings.warn(f"{est.param_name} {config.param} is at or above the stability "
-                          f"limit {bound:.6g}; the mean trajectory will diverge",
-                          RuntimeWarning, stacklevel=2)
+    bound = est.stability_bound(model) if est.stability_bound is not None else None
+    metadata["mu_max"] = bound  # the manifest's name for the bound; None without one
+    metadata["stable"] = None if bound is None else bool(config.param < bound)
+    if bound is not None and config.param >= bound:
+        # Divergence studies are legitimate, so an unstable parameter is
+        # flagged rather than rejected.
+        warnings.warn(f"{est.param_name} {config.param} is at or above the stability "
+                      f"limit {bound:.6g}; the mean trajectory will diverge",
+                      RuntimeWarning, stacklevel=2)
     result = RunResult(
         config=config,
         t=np.arange(1, t_count + 1),

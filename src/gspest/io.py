@@ -194,34 +194,38 @@ def read_results_csv(path) -> dict[str, np.ndarray]:
 
 
 def build_manifest(result: RunResult, stations: StationTable, duration_seconds: float) -> dict:
-    """Reproduction record for one run: effective config, provenance, and the
-    numbers that decide whether the run can be trusted (stability, spectral
-    radius, steady states, the predicted literal - exact gap and the measured
-    tail deviation, whose non-finite values are written as null)."""
-    deviation, meta = dataclasses.asdict(result.deviation), result.metadata
+    """Reproduction record for one run: effective config, provenance, the run's
+    metadata (cw_digest as covariance_digest), which holds the numbers that
+    decide whether the run can be trusted, and its tail deviation."""
+    meta = {("covariance_digest" if key == "cw_digest" else key): value
+            for key, value in result.metadata.items()}
     return {
+        **meta,
         "format": "gspest-run-manifest/1",
         "package_version": __version__,
         "config": config_to_dict(result.config),
         "station_digest": station_digest(stations),
-        "covariance_digest": meta["cw_digest"],
-        "sampling_indices": list(meta["sampling_indices"]),
-        "lambda_min": meta["lambda_min"],
-        "mu_max": meta.get("mu_max"),  # LMS only
-        "stable": meta.get("stable"),
-        "spectral_radius": meta["spectral_radius"],
-        "steady_state": meta["steady_state"],
-        "predicted_gap_db": meta["predicted_gap_db"],
-        "deviation": {k: v if math.isfinite(v) else None for k, v in deviation.items()},
+        "deviation": finite_or_null(dataclasses.asdict(result.deviation)),
         "duration_seconds": float(duration_seconds),
-        "stages": dict(meta["stages"]),
     }
 
 
-def write_manifest(path, manifest: dict) -> None:
+def finite_or_null(figures: dict) -> dict:
+    """figures with each nan or infinite float as None, strict JSON's null."""
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in figures.items()}
+
+
+def write_json(path, document) -> None:
+    """Write strict JSON: a nan or infinite float raises ValueError, before
+    the file is opened, so a refused document writes nothing."""
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_manifest(path, manifest: dict) -> None:
+    write_json(path, manifest)
 
 
 def read_manifest(path) -> dict:

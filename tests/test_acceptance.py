@@ -153,8 +153,9 @@ def test_nonfinite_deviation_fails_its_clause():
     """A NaN z-score or literal deviation fails its row rather than slipping
     past a ">" comparison."""
     fine = DeviationStats(burn_in_fraction=0.5, n_tail=10, paper_max_abs_db=0.1,
-                          paper_mean_abs_db=0.1, exact_max_abs_db=0.1,
-                          exact_mean_abs_db=0.1, tail_se_db=0.1, exact_tail_z=1.0)
+                          paper_mean_abs_db=0.1, paper_n_nonfinite=0, exact_max_abs_db=0.1,
+                          exact_mean_abs_db=0.1, exact_n_nonfinite=0, tail_se_db=0.1,
+                          exact_tail_z=1.0)
     durations = {1: 0.0}
     assert_both_clauses([(1, "i", 0.5, fine, fine)], durations, budget_seconds=1.0)
     nan_z = replace(fine, exact_tail_z=float("nan"))

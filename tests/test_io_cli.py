@@ -336,11 +336,20 @@ class TestManifest:
         for key, value in dataclasses.asdict(deviation).items():
             assert manifest["deviation"][key] == (value if math.isfinite(value) else None)
         assert manifest["deviation"]["paper_max_abs_db"] is None
+        assert manifest["deviation"]["paper_n_nonfinite"] > 0  # the null's cause
         assert manifest["deviation"]["tail_se_db"] is None
         assert manifest["deviation"]["n_tail"] == 8
         path = tmp_path / "m.json"
         gio.write_manifest(path, manifest)
         json.loads(path.read_text(), parse_constant=pytest.fail)
+
+    def test_non_finite_float_refused_and_no_file_written(self, tmp_path, result):
+        stations = synthetic_stations(result.config.n_stations, result.config.stations_seed)
+        manifest = gio.build_manifest(result, stations, math.nan)
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            gio.write_manifest(path, manifest)
+        assert not path.exists()
 
     def test_every_metadata_key_is_recorded(self):
         config = small_config(iterations=15, runs=2)
@@ -604,6 +613,20 @@ class TestCliRun:
         assert lines[1] == f"manifest: {out}.manifest.json"
         assert lines[2].startswith("tail mean |emp - theory| dB: ")
 
+    def test_summary_counts_nonfinite_tail_points(self, tmp_path, capsys):
+        # on this config the literal curve dips below zero in the tail, so its
+        # mean is nan; the summary and the manifest both say at how many points
+        config_path = write_config(tmp_path, iterations=30, runs=4)
+        out = tmp_path / "res.csv"
+        assert main(["run", config_path, "--out", str(out),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        deviation = gio.read_manifest(str(out) + ".manifest.json")["deviation"]
+        assert deviation["paper_mean_abs_db"] is None and deviation["paper_n_nonfinite"] == 2
+        assert deviation["exact_n_nonfinite"] == 0
+        summary = capsys.readouterr().out.splitlines()[2]
+        assert summary.startswith("tail mean |emp - theory| dB: paper nan (2 non-finite points), ")
+        assert summary.endswith(" (0 non-finite points); burn-in 0.5")
+
     def test_overrides_change_the_run(self, tmp_path):
         config_path = write_config(tmp_path, iterations=20, runs=3)
         base, seeded, longer = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -737,7 +760,13 @@ class TestCliCompare:
                      "--json", str(report_path)]) == 0
         report, stats = json.loads(report_path.read_text()), compare(result, burn_in)
         assert report["n_tail"] == stats.n_tail
-        assert report["modes"]["exact"]["mean_abs_db"] == stats.exact_mean_abs_db
+        for mode in ("paper", "exact"):
+            got = report["modes"][mode]
+            for key in ("max_abs_db", "mean_abs_db"):
+                want = getattr(stats, f"{mode}_{key}")
+                assert got[key] == (want if math.isfinite(want) else None), (mode, key)
+            # no tail point here is nan in one curve and -inf in the other
+            assert sum(got["n_nonfinite"].values()) == getattr(stats, f"{mode}_n_nonfinite")
 
     def test_bad_burn_in_exits_2(self, tmp_path, capsys):
         out = self.make_results(tmp_path)
@@ -949,6 +978,22 @@ class TestCliErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: --json {results} is the same file as results {results}"]
         assert results.read_bytes() == before
+
+    def test_compare_json_path_checked_before_reading_the_csv(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the results CSV was read before --json was checked")
+
+        monkeypatch.setattr(gio, "read_results_csv", fail)
+        results = tmp_path / "res.csv"
+        missing = tmp_path / "nodir" / "rep.json"
+        assert main(["compare", str(results), "--json", str(missing)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not missing.parent.exists()
+        assert main(["compare", str(results), "--json", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {os.strerror(errno.EISDIR)}: {tmp_path}"]
 
     def test_compare_directory_exits_2(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path)]) == 2

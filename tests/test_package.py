@@ -126,12 +126,14 @@ def test_checker_flags_a_config_field_list():
 
 # each file-format call and the one function in io.py allowed to make it
 FORMAT_CALLS = {("csv", "reader"): "_read_csv", ("csv", "writer"): "_write_csv",
-                ("json", "load"): "_read_json"}
+                ("json", "load"): "_read_json", ("json", "dump"): "write_json",
+                ("json", "dumps"): "write_json"}
 
 
 def format_calls_outside_owner(source: str, module: str) -> list[str]:
-    """Lines that refer to csv.reader, csv.writer or json.load (or import one
-    by name) outside the function of io.py that owns it."""
+    """Lines that refer to csv.reader, csv.writer, json.load, json.dump or
+    json.dumps (or import one by name) outside the function of io.py that owns
+    it."""
     found = []
     for top in ast.parse(source).body:
         owner = top.name if module == "io" and isinstance(top, ast.FunctionDef) else None
@@ -159,12 +161,14 @@ def test_checker_flags_a_format_call_outside_its_owner():
               "def _read_csv(p):\n    return csv.reader(p), json.load(p)\n"
               "def _write_csv(p):\n    return csv.writer(p), csv.DictWriter(p)\n"
               "def _read_json(p):\n    return json.load(p), json.dump(1, p)\n"
+              "def write_json(p):\n    return json.dumps(1), json.dump(1, p)\n"
               "r = csv.reader\n")
     assert format_calls_outside_owner(source, "io") == [
-        "line 2: csv.writer", "line 4: json.load", "line 9: csv.reader"]
+        "line 2: csv.writer", "line 4: json.load", "line 8: json.dump", "line 11: csv.reader"]
     assert format_calls_outside_owner(source, "cli") == [
         "line 2: csv.writer", "line 4: csv.reader", "line 4: json.load", "line 6: csv.writer",
-        "line 8: json.load", "line 9: csv.reader"]
+        "line 8: json.load", "line 8: json.dump", "line 10: json.dumps", "line 10: json.dump",
+        "line 11: csv.reader"]
 
 
 def _constructors(arr):
