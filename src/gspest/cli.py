@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: build-graph (graph summary, node/edge lists, cached
-eigendecomposition), run (Monte Carlo plus theory curves to CSV with a
-manifest), theory (theory curves only), compare (tail deviation report for
-a results CSV).
+eigendecomposition), run (Monte Carlo plus theory curves to CSV, with a
+manifest at <out>.manifest.json), theory (theory curves only), compare
+(tail deviation report for a results CSV). run and theory take every run
+setting from the config file alone.
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable or
 unreadable path, an output path naming an input or another output, and a
@@ -14,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,17 +33,6 @@ def _cached_basis(cache_dir, stations, k):
         basis = gft_basis(laplacian(build_knn_graph(stations, k)))
         gio.save_graph_cache(cache_dir, stations, k, basis)
     return basis
-
-
-def _apply_overrides(config, args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    return replace(config, **overrides) if overrides else config
 
 
 def _claim_outputs(inputs, outputs):
@@ -65,9 +54,9 @@ def _claim_outputs(inputs, outputs):
 
 
 def _inputs(args, *outputs):
-    """Config (with overrides), station table and graph basis of a run or
-    theory command, after its outputs are claimed."""
-    config = _apply_overrides(gio.load_config(args.config), args)
+    """Config, station table and graph basis of a run or theory command,
+    after its outputs are claimed."""
+    config = gio.load_config(args.config)
     _claim_outputs([("config", args.config), ("stations", config.stations_csv)], outputs)
     if config.stations_csv is None:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
@@ -98,8 +87,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest_path = args.manifest or (args.out + ".manifest.json")
-    config, stations, basis = _inputs(args, ("--out", args.out), ("--manifest", manifest_path))
+    manifest_path = args.out + ".manifest.json"
+    config, stations, basis = _inputs(args, ("--out", args.out), ("manifest", manifest_path))
     started = time.monotonic()
     result = run_experiment(config, stations, basis)
     duration = time.monotonic() - started
@@ -138,7 +127,7 @@ def cmd_compare(args) -> int:
             {"max_abs_db": max_abs, "mean_abs_db": mean_abs, "n_nonfinite": nonfinite})
         print(f"{mode}: tail mean |emp - theory| = {mean_abs:.4f} dB, "
               f"max = {max_abs:.4f} dB over {n_tail} iterations "
-              f"({nonfinite['nan']} nan, {nonfinite['-inf']} -inf points)")
+              f"({', '.join(f'{n} {kind}' for kind, n in nonfinite.items())} points)")
     if args.json:
         gio.write_json(args.json, report)
         print(f"report: {args.json}")
@@ -158,20 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.set_defaults(func=cmd_build_graph)
 
-    for name, helptext in (("run", "simulate and write empirical plus theory curves"),
-                           ("theory", "write theory curves only")):
+    for name, helptext, func in (
+            ("run", "simulate and write empirical plus theory curves", cmd_run),
+            ("theory", "write theory curves only", cmd_theory)):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="experiment config (flat JSON)")
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--runs", type=int, default=None, help="override run count")
-        p.add_argument("--iterations", type=int, default=None, help="override iteration count")
-        if name == "run":
-            p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
-            p.set_defaults(func=cmd_run)
-        else:
-            p.set_defaults(func=cmd_theory)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="tail deviation report for a results CSV")
     p.add_argument("results_csv")

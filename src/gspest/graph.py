@@ -188,8 +188,9 @@ def gft_basis(lap: np.ndarray) -> GftBasis:
 
     Eigenvalues come back ascending. Each eigenvector is normalised to a
     deterministic sign: its first entry of magnitude above 1e-9 is made
-    positive, so repeated runs and different BLAS builds agree on the basis
-    up to that convention.
+    positive, so repeated runs on one numpy/BLAS build and thread count give
+    the same basis. Another build or thread count may round the eigenvectors
+    differently, enough to change greedy sampling picks downstream.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]

@@ -277,16 +277,18 @@ def tail_report(emp_db: np.ndarray, paper_db: np.ndarray, exact_db: np.ndarray,
     """Tail length and, per theory mode, its agreement with the empirical
     curve over the tail, every curve in dB: the max and mean |emp - theory|,
     the number of tail points where either curve is not finite (one such point
-    makes that max and mean nan or inf) and, by kind, those nan or -inf."""
+    makes that max and mean nan or inf) and, by kind, those nan, -inf or +inf."""
     tail = tail_slice(len(emp_db), burn_in_fraction)
     emp, modes = emp_db[tail], {}
     for mode, theory_db in (("paper", paper_db), ("exact", exact_db)):
         theory = theory_db[tail]
-        dev = np.abs(emp - theory)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, counted below
+            dev = np.abs(emp - theory)
         modes[mode] = {"max_abs_db": float(np.max(dev)), "mean_abs_db": float(np.mean(dev)),
                        "n_nonfinite": int(np.sum(~np.isfinite(dev))),
                        "by_kind": {"nan": int(np.sum(np.isnan(emp) | np.isnan(theory))),
-                                   "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory)))}}
+                                   "-inf": int(np.sum(np.isneginf(emp) | np.isneginf(theory))),
+                                   "+inf": int(np.sum(np.isposinf(emp) | np.isposinf(theory)))}}
     return emp.shape[0], modes
 
 

@@ -10,6 +10,8 @@ import errno
 import json
 import math
 import os
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -627,20 +629,6 @@ class TestCliRun:
         assert summary.startswith("tail mean |emp - theory| dB: paper nan (2 non-finite points), ")
         assert summary.endswith(" (0 non-finite points); burn-in 0.5")
 
-    def test_overrides_change_the_run(self, tmp_path):
-        config_path = write_config(tmp_path, iterations=20, runs=3)
-        base, seeded, longer = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        cache = str(tmp_path / "cache")
-        main(["run", config_path, "--out", str(base), "--cache-dir", cache])
-        main(["run", config_path, "--out", str(seeded), "--cache-dir", cache,
-              "--seed", "123"])
-        main(["run", config_path, "--out", str(longer), "--cache-dir", cache,
-              "--iterations", "8", "--runs", "2"])
-        assert base.read_bytes() != seeded.read_bytes()
-        assert len(longer.read_text().splitlines()) == 9
-        manifest = gio.read_manifest(str(seeded) + ".manifest.json")
-        assert manifest["config"]["master_seed"] == 123
-
     def test_repeat_run_byte_identical(self, tmp_path):
         config_path = write_config(tmp_path, iterations=15, runs=2)
         cache = str(tmp_path / "cache")
@@ -736,12 +724,31 @@ class TestCliCompare:
         # a negative literal value is written as nan; it still makes the
         # paper max nan, and the report says how many points did so
         report = json.loads(self.compare_with_nan_in_tail(tmp_path))
-        assert report["modes"]["paper"]["n_nonfinite"] == {"nan": 1, "-inf": 0}
-        assert report["modes"]["exact"]["n_nonfinite"] == {"nan": 0, "-inf": 0}
+        assert report["modes"]["paper"]["n_nonfinite"] == {"nan": 1, "-inf": 0, "+inf": 0}
+        assert report["modes"]["exact"]["n_nonfinite"] == {"nan": 0, "-inf": 0, "+inf": 0}
         assert report["modes"]["paper"]["max_abs_db"] is None
         assert report["modes"]["exact"]["max_abs_db"] == 0.25
         stdout = capsys.readouterr().out
-        assert "(1 nan, 0 -inf points)" in stdout and "(0 nan, 0 -inf points)" in stdout
+        assert "(1 nan, 0 -inf, 0 +inf points)" in stdout
+        assert "(0 nan, 0 -inf, 0 +inf points)" in stdout
+
+    def test_counts_positive_infinite_tail_points_without_a_warning(self, tmp_path, capsys,
+                                                                   recwarn):
+        # a diverging run writes inf; inf - inf is nan, and numpy would warn of it
+        path = tmp_path / "res.csv"
+        rows = [f"{t},-{t}.5,-{t}.0,-{t}.25" for t in range(1, 9)]
+        rows[5], rows[6] = "6,inf,-6.0,inf", "7,inf,nan,inf"
+        path.write_text(",".join(gio.RESULTS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["compare", str(path), "--burn-in", "0.5", "--json", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["modes"]["paper"]["n_nonfinite"] == {"nan": 1, "-inf": 0, "+inf": 2}
+        assert report["modes"]["exact"]["n_nonfinite"] == {"nan": 0, "-inf": 0, "+inf": 2}
+        assert report["modes"]["exact"]["max_abs_db"] is None
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        stdout = capsys.readouterr().out
+        assert "(1 nan, 0 -inf, 2 +inf points)" in stdout
+        assert "(0 nan, 0 -inf, 2 +inf points)" in stdout
 
     def test_nonfinite_deviation_written_as_strict_json_null(self, tmp_path):
         def reject(token):
@@ -778,6 +785,25 @@ class TestCliCompare:
         assert "--burn-in must lie in [0, 1), got 2.0" in capsys.readouterr().err
 
 
+def readme_commands() -> list[str]:
+    """Every `gspest ...` line of the README's sh code blocks."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    return [line for block in blocks if block.startswith("sh\n")
+            for line in block.splitlines() if line.startswith("gspest ")]
+
+
+class TestReadmeExamples:
+    def test_readme_shows_every_subcommand(self):
+        assert {shlex.split(line)[1] for line in readme_commands()} == {
+            "build-graph", "run", "theory", "compare"}
+
+    @pytest.mark.parametrize("line", readme_commands(), ids=lambda line: shlex.split(line)[1])
+    def test_readme_command_parses(self, line):
+        # parsing only: a flag the README shows must be one the parser has
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
 class TestCliErrors:
     def test_missing_config_file_exits_3(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
@@ -791,16 +817,30 @@ class TestCliErrors:
         assert code == 2
         assert "runs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, name", [("run", "--runs", "runs"),
-                                                     ("theory", "--iterations", "iterations")])
-    def test_bad_override_exits_2_before_building_the_graph(self, tmp_path, capsys,
-                                                            command, flag, name):
-        code = main([command, write_config(tmp_path), "--out", str(tmp_path / "o.csv"),
-                     "--cache-dir", str(tmp_path / "cache"), flag, "0"])
+    @pytest.mark.parametrize("command, name", [("run", "runs"), ("theory", "iterations")],
+                             ids=["run", "theory"])
+    def test_bad_config_value_exits_2_before_building_the_graph(self, tmp_path, capsys,
+                                                                command, name):
+        code = main([command, write_config(tmp_path, **{name: 0}),
+                     "--out", str(tmp_path / "o.csv"), "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
         assert f"{name} must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--seed"), ("run", "--runs"), ("run", "--iterations"), ("run", "--manifest"),
+        ("theory", "--seed"), ("theory", "--runs"), ("theory", "--iterations")])
+    def test_removed_flag_exits_2_writing_nothing(self, tmp_path, capsys, command, flag):
+        # every run setting comes from the config, and the manifest path from --out
+        config_path = write_config(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([command, config_path, "--out", str(tmp_path / "o.csv"),
+                  "--cache-dir", str(tmp_path / "cache"), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_non_finite_scenario_exits_2_before_building_the_graph(self, tmp_path, capsys):
         config_path = write_config(tmp_path, scenario=[math.nan, 0.0])
@@ -937,36 +977,37 @@ class TestCliErrors:
             f"error: {os.strerror(errno.EISDIR)}: {directory}",
             f"file not found: {missing}"]
 
-    def test_run_manifest_path_checked_before_simulating(self, tmp_path, monkeypatch):
+    def test_run_manifest_path_checked_before_simulating(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("run_experiment ran before the manifest path was checked")
 
         monkeypatch.setattr(cli, "run_experiment", fail)
         config_path = write_config(tmp_path, iterations=5, runs=1)
         out = tmp_path / "res.csv"
-        code = main(["run", config_path, "--out", str(out), "--cache-dir", str(tmp_path / "c"),
-                     "--manifest", str(tmp_path / "missing" / "m.json")])
-        assert code == 3
+        manifest = tmp_path / "res.csv.manifest.json"
+        manifest.mkdir()
+        code = main(["run", config_path, "--out", str(out), "--cache-dir", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {os.strerror(errno.EISDIR)}: {manifest}"]
         assert not out.exists()  # the probe of --out leaves nothing behind
 
     def test_run_output_naming_another_file_exits_2(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("run_experiment ran before the paths were checked")
 
-        config_path = write_config(tmp_path, iterations=5, runs=1)
-        cache = tmp_path / "cache"
         out = tmp_path / "res.csv"
-        assert main(["run", config_path, "--out", str(out), "--cache-dir", str(cache)]) == 0
-        kept = {path: path.read_bytes() for path in (out, tmp_path / "config.json")}
-        capsys.readouterr()
+        config_path = write_config(tmp_path, name="res.csv.manifest.json", iterations=5, runs=1)
+        cache = tmp_path / "cache"
+        before = pathlib.Path(config_path).read_bytes()
         monkeypatch.setattr(cli, "run_experiment", fail)
-        assert main(["run", config_path, "--out", str(out), "--manifest", str(out),
-                     "--cache-dir", str(cache)]) == 2
+        assert main(["run", config_path, "--out", str(out), "--cache-dir", str(cache)]) == 2
         assert main(["run", config_path, "--out", config_path, "--cache-dir", str(cache)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: --manifest {out} is the same file as --out {out}",
+            f"error: manifest {config_path} is the same file as config {config_path}",
             f"error: --out {config_path} is the same file as config {config_path}"]
-        assert {path: path.read_bytes() for path in kept} == kept
+        assert pathlib.Path(config_path).read_bytes() == before
+        assert not out.exists() and not cache.exists()
 
     def test_compare_json_naming_its_input_exits_2(self, tmp_path, capsys):
         results = tmp_path / "res.csv"
