@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Write a synthetic station table so the CLI pipeline can run end to end
-without the real temperature dataset."""
+without the real temperature dataset. Errors exit as gspest's do."""
 
 import argparse
 
 from gspest import synthetic_stations
+from gspest.cli import exit_code
 from gspest.io import write_station_csv
 
 
@@ -22,4 +23,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

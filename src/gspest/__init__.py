@@ -12,7 +12,7 @@ from .graph import (BandBasis, GftBasis, Graph, StationTable, band_select,
                     build_knn_graph, gft_basis, haversine_km, laplacian,
                     project_bandlimited)
 from .harness import (ConfigError, DeviationStats, ExperimentConfig, RunResult, compare,
-                      prepare_experiment, run_experiment, synthetic_stations)
+                      prepare_experiment, reference_grid, run_experiment, synthetic_stations)
 from .io import DataError
 from .noise import SCENARIOS, NoiseModel, build_cw, scenario_coefficients
 from .sampling import (SamplingSet, check_recoverability, greedy_max_lambda_min,
@@ -32,5 +32,6 @@ __all__ = [
     "TheoryCurve", "lms_theory_exact", "lms_theory_paper",
     "rls_theory_exact", "rls_theory_paper",
     "ConfigError", "DataError", "DeviationStats", "ExperimentConfig",
-    "RunResult", "compare", "prepare_experiment", "run_experiment", "synthetic_stations",
+    "RunResult", "compare", "prepare_experiment", "reference_grid", "run_experiment",
+    "synthetic_stations",
 ]

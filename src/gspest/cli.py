@@ -164,10 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(entry, *args) -> int:
+    """Return entry(*args), or print the error it raises without a traceback and
+    return 2 for a config or usage error, 3 for bad or missing data."""
     try:
-        return args.func(args)
+        return entry(*args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -183,6 +184,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

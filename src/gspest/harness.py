@@ -130,6 +130,28 @@ class ExperimentConfig:
         return scenario_coefficients(self.scenario)
 
 
+# The study grid on 299 stations, 210 of them observed: per case k, band width
+# and each estimator's two parameters; then each estimator's iteration count.
+_GRID_CASES = {1: (8, 200, {"lms": (0.43, 1.57), "rls": (0.61, 0.85)}),
+               2: (16, 160, {"lms": (0.2, 1.1), "rls": (0.55, 0.79)})}
+_GRID_ITERATIONS = {"lms": 1000, "rls": 200}
+
+
+def reference_grid(algorithms, scenarios, runs, master_seed, stations_csv=None,
+                   n_stations=299) -> list[tuple[str, int, ExperimentConfig]]:
+    """The study grid's rows, nested estimator, case, scenario, parameter:
+    (file stem "<alg>_case<c>_<scn>_p<param>", case number, checked config)."""
+    if unknown := [a for a in algorithms if a not in _GRID_ITERATIONS]:
+        raise ConfigError([f"the reference grid has no algorithm {a!r}; choose from "
+                           f"{', '.join(map(repr, _GRID_ITERATIONS))}" for a in unknown])
+    return [(f"{algorithm}_case{case}_{scenario}_p{param}", case, ExperimentConfig(
+                algorithm=algorithm, param=param, k=k, bandwidth=bandwidth, sample_size=210,
+                scenario=scenario, iterations=_GRID_ITERATIONS[algorithm], runs=runs,
+                master_seed=master_seed, stations_csv=stations_csv, n_stations=n_stations))
+            for algorithm in algorithms for case, (k, bandwidth, params) in _GRID_CASES.items()
+            for scenario in scenarios for param in params[algorithm]]
+
+
 def covariance_seed(master_seed: int) -> int:
     seq = np.random.SeedSequence(master_seed, spawn_key=(_COV_KEY,))
     return int(seq.generate_state(1, np.uint64)[0])

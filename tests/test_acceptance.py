@@ -8,6 +8,9 @@ estimators on the 299-station setup (5, 6), the stability boundary (7),
 trivial limits (8), steady-state formulas (9) and byte-level determinism of
 the command line pipeline (10).
 
+Checks 4 to 7 take the study grid's numbers from ``gspest.reference_grid``,
+its one definition, which ``scripts/run_reference_cases.py`` also runs.
+
 Criteria 5 and 6 each carry two clauses, and each theory mode is held to the
 process it describes. The exact mode is the expectation of the redrawn-noise
 ("iid") run, and must sit within 3 Monte Carlo standard errors of that run's
@@ -27,6 +30,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gspest import (
+    SCENARIOS,
     DeviationStats,
     ExperimentConfig,
     SignalModel,
@@ -41,6 +45,7 @@ from gspest import (
     lms_theory_paper,
     prepare_experiment,
     random_sampling,
+    reference_grid,
     rls_gain_matrix,
     rls_theory_exact,
     run_experiment,
@@ -52,15 +57,7 @@ from gspest.theory import limits
 from oracle import draw_noise, lms_init, lms_step, rls_init, rls_step, solve_lms_lyapunov
 
 MASTER_SEED = 42
-
-# 299-station operating points: (k, bandwidth, lms step sizes, rls factors)
-FULL_CASES = {
-    1: dict(k=8, bandwidth=200, mus=(0.43, 1.57), lams=(0.61, 0.85)),
-    2: dict(k=16, bandwidth=160, mus=(0.2, 1.1), lams=(0.55, 0.79)),
-}
-FULL_SAMPLE_SIZE = 210
 FULL_RUNS = 50
-SCENARIOS_ALL = ("i", "ii", "iii")
 
 
 def random_instance(seed, n=20, f=8, m=12):
@@ -86,11 +83,12 @@ def stations299():
 @pytest.fixture(scope="module")
 def bases299(stations299):
     return {k: gft_basis(laplacian(build_knn_graph(stations299, k)))
-            for k in (8, 16)}
+            for k in dict.fromkeys(config.k for _, _, config
+                                   in reference_grid(["lms"], ["iii"], 1, MASTER_SEED))}
 
 
-def full_scale_rows(algorithm, iterations, stations, bases):
-    """Run every (case, scenario, parameter) combination under both noise
+def full_scale_rows(algorithm, stations, bases):
+    """Run the reference grid's rows of one estimator under both noise
     protocols.
 
     Returns rows of (case, scenario, param, iid stats, frozen stats) and the
@@ -99,16 +97,10 @@ def full_scale_rows(algorithm, iterations, stations, bases):
     """
     rows = []
     durations = {}
-    for case, spec in FULL_CASES.items():
-        params = spec["mus"] if algorithm == "lms" else spec["lams"]
-        configs = [
-            ExperimentConfig(
-                algorithm=algorithm, param=param, k=spec["k"],
-                bandwidth=spec["bandwidth"], sample_size=FULL_SAMPLE_SIZE,
-                scenario=scenario, iterations=iterations, runs=FULL_RUNS,
-                master_seed=MASTER_SEED, n_stations=299)
-            for scenario in SCENARIOS_ALL for param in params]
-        basis = bases[spec["k"]]
+    grid = reference_grid([algorithm], SCENARIOS, FULL_RUNS, MASTER_SEED)
+    for case in dict.fromkeys(case for _, case, _ in grid):
+        configs = [config for _, row_case, config in grid if row_case == case]
+        basis = bases[configs[0].k]
         started = time.monotonic()
         iid = [run_experiment(config, stations, basis).deviation for config in configs]
         durations[case] = time.monotonic() - started
@@ -246,12 +238,14 @@ class TestAcceptance:
 
     def test_c04_rls_exact_recursion_matches_analytic_formula(self):
         """Iterating the one-step error-energy recursion reproduces the
-        analytic geometric-series expression to 1e-10 relative."""
+        analytic geometric-series expression to 1e-10 relative at the
+        reference grid's four forgetting factors."""
         model, _, _, _ = random_instance(0)
         m_trace = float(np.trace(rls_gain_matrix(model.band, model.sampling,
                                                  model.noise.c_w)))
         energy = float(model.s_f @ model.s_f)
-        for lam in (0.55, 0.61, 0.79, 0.85):
+        lams = {config.param for _, _, config in reference_grid(["rls"], ["iii"], 1, MASTER_SEED)}
+        for lam in sorted(lams):
             analytic = rls_theory_exact(model, lam, 400).values
             value = energy
             iterated = [value]
@@ -266,25 +260,23 @@ class TestAcceptance:
         sizes: exact mode within 3 SE of the redrawn-noise tail, literal mode
         within 2 dB of the frozen-noise tail, and the redrawn-noise grid
         under the per-case time budget."""
-        rows, durations = full_scale_rows("lms", 1000, stations299, bases299)
+        rows, durations = full_scale_rows("lms", stations299, bases299)
         assert_both_clauses(rows, durations, budget_seconds=120.0)
 
     def test_c06_rls_full_scale_reproduction(self, stations299, bases299):
         """Full-scale RLS runs, same grid with both forgetting factors:
         same two clauses against the same two noise protocols, tighter time
         budget."""
-        rows, durations = full_scale_rows("rls", 200, stations299, bases299)
+        rows, durations = full_scale_rows("rls", stations299, bases299)
         assert_both_clauses(rows, durations, budget_seconds=60.0)
 
     def test_c07_stability_boundary(self, stations299, bases299):
         """Just below the critical step size the exact curve converges; just
         above it the curve blows past 1000x the signal energy within 2000
         iterations."""
-        config = ExperimentConfig(
-            algorithm="lms", param=0.5, k=8, bandwidth=200,
-            sample_size=FULL_SAMPLE_SIZE, scenario="iii", iterations=2,
-            runs=1, master_seed=MASTER_SEED, n_stations=299)
-        model = prepare_experiment(config, stations299, bases299[8])
+        _, _, case1 = reference_grid(["lms"], ["iii"], 1, MASTER_SEED)[0]  # the first row
+        config = replace(case1, param=0.5, iterations=2)
+        model = prepare_experiment(config, stations299, bases299[config.k])
         energy = float(model.s_f @ model.s_f)
         mu_max = model.mu_max
         below = lms_theory_exact(model, 0.99 * mu_max, 2000).values

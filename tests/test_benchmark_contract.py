@@ -1,7 +1,9 @@
 """The benchmark's contract with the package: perfbench/run.py reads the
-last line of standard output as a strict-JSON result, and its tracer finds
-every function it reports by name. Only reads perfbench/."""
+last line of standard output as a strict-JSON result, its tracer finds
+every function it reports by name, and its copy of the reference grid
+agrees with gspest.reference_grid. Only reads perfbench/."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -9,6 +11,8 @@ import math
 import pathlib
 import subprocess
 import sys
+
+from gspest import SCENARIOS, reference_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -39,3 +43,37 @@ def test_every_traced_function_resolves():
     missing = [f"{layer}.{func}" for layer, func, _timed in tracer.REPORTED
                if not callable(getattr(importlib.import_module(f"gspest.{layer}"), func, None))]
     assert missing == []
+
+
+def _literal(node):
+    """The value of a literal that may hold dict(key=value, ...) calls."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+        return {kw.arg: _literal(kw.value) for kw in node.keywords}
+    if isinstance(node, ast.Dict):
+        return {_literal(k): _literal(v) for k, v in zip(node.keys, node.values)}
+    return ast.literal_eval(node)
+
+
+def test_benchmark_grid_copy_matches_the_reference_grid():
+    tree = ast.parse((PERFBENCH / "workload.py").read_text(encoding="utf-8"))
+    names = {target.id: _literal(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if getattr(target, "id", None) in ("GRID_CASES", "SIZES")}
+    cases, size = names["GRID_CASES"]["full"], names["SIZES"]["full"]["grid299"]
+    assert size["scenarios"] == ("iii",) and size["n_stations"] == 299
+
+    # the grid's shape and row order: estimator, case, scenario, parameter
+    rows = reference_grid(["lms", "rls"], list(SCENARIOS), 50, 42)
+    assert len(rows) == 24 == len({stem for stem, _, _ in rows})
+    assert [stem for stem, _, _ in rows] == [
+        f"{algorithm}_case{case}_{scenario}_p{param}" for algorithm in ("lms", "rls")
+        for case, _, _, mus, lams in cases for scenario in SCENARIOS
+        for param in (mus if algorithm == "lms" else lams)]
+
+    # the benchmark's numbers, row by row
+    bench = {(algorithm, case): (k, bandwidth, mus if algorithm == "lms" else lams)
+             for case, k, bandwidth, mus, lams in cases for algorithm in ("lms", "rls")}
+    for _, case, config in rows:
+        k, bandwidth, params = bench[config.algorithm, case]
+        assert (config.k, config.bandwidth) == (k, bandwidth) and config.param in params
+        assert config.sample_size == size["sample_size"]
+        assert config.iterations == size["iterations"][config.algorithm]

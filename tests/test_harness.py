@@ -135,6 +135,24 @@ class TestConfigValidation:
         assert cfg.param == BASE["param"]
 
 
+class TestReferenceGrid:
+    @pytest.mark.parametrize("algorithms, scenarios, message", [
+        (["lms", "nlms"], ["iii"], "the reference grid has no algorithm 'nlms'"),
+        (["rls"], ["iii", "iv"], "unknown scenario 'iv'"),
+    ])
+    def test_unknown_name_is_a_config_error(self, algorithms, scenarios, message):
+        with pytest.raises(ConfigError, match=message):
+            harness.reference_grid(algorithms, scenarios, 2, 42)
+
+    def test_rows_carry_the_run_settings_and_station_source(self):
+        rows = harness.reference_grid(["rls"], ["ii"], 3, 7, "/data/st.csv", 120)
+        assert [stem for stem, _, _ in rows] == [
+            "rls_case1_ii_p0.61", "rls_case1_ii_p0.85", "rls_case2_ii_p0.55", "rls_case2_ii_p0.79"]
+        assert [case for _, case, _ in rows] == [1, 1, 2, 2]
+        assert {(c.runs, c.master_seed, c.stations_csv, c.n_stations) for _, _, c in rows} == {
+            (3, 7, "/data/st.csv", 120)}
+
+
 class TestSeedScheme:
     def test_streams_are_distinct_and_stable(self):
         assert covariance_seed(42) == covariance_seed(42)

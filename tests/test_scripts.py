@@ -1,12 +1,16 @@
 """The reproduction entry point, scripts/run_reference_cases.py, runs end to
 end on a reduced grid and writes one results CSV and manifest per row, and
-each manifest's config reruns its row's CSV."""
+each manifest's config reruns its row's CSV from any working directory.
+Both scripts exit with gspest's codes, without a traceback, before they
+write anything."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import gspest
 from gspest import io as gio
@@ -16,15 +20,18 @@ from gspest.harness import synthetic_stations
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_reference_cases(tmp_path, *args):
+def run_script(cwd, script, *args):
     env = dict(os.environ)
     src = str(pathlib.Path(gspest.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_reference_cases.py"), "--runs", "2",
-         "--scenarios", "iii", "--algorithms", "rls", "--out-dir", str(tmp_path), *args],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        timeout=120)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def run_reference_cases(tmp_path, *args):
+    proc = run_script(tmp_path, "run_reference_cases.py", "--runs", "2", "--scenarios", "iii",
+                      "--algorithms", "rls", "--out-dir", str(tmp_path), *args)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -43,16 +50,21 @@ def test_reference_cases_script_writes_results_and_manifests(tmp_path):
         assert len(manifest["sampling_indices"]) == 210
 
 
-def test_manifest_config_reruns_the_csv_of_a_station_file(tmp_path):
-    # a table other than the default synthetic one: the manifest's config must name it
+def test_manifest_config_reruns_the_csv_of_a_station_file(tmp_path, monkeypatch):
+    # a table other than the default synthetic one, named relative to the
+    # script's working directory: the manifest's config must name it by its
+    # absolute path, so that the config reruns from another directory
     stations_path = str(tmp_path / "stations7.csv")
     gio.write_station_csv(stations_path, synthetic_stations(299, 7))
-    run_reference_cases(tmp_path, "--stations", stations_path)
+    run_reference_cases(tmp_path, "--stations", "stations7.csv")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
     names = sorted(p.name for p in tmp_path.glob("rls_*.csv"))
     assert len(names) == 4
     for name in names:
         config = gio.read_manifest(tmp_path / (name + ".manifest.json"))["config"]
-        assert config["stations_csv"] == stations_path
+        assert os.path.isabs(config["stations_csv"])
+        assert os.path.samefile(config["stations_csv"], stations_path)
         config_path = tmp_path / "rerun.json"
         config_path.write_text(json.dumps(config))
         rerun = tmp_path / "rerun" / name
@@ -60,3 +72,21 @@ def test_manifest_config_reruns_the_csv_of_a_station_file(tmp_path):
         assert main(["run", str(config_path), "--out", str(rerun),
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert rerun.read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("script, args, code, message", [
+    ("run_reference_cases.py", ["--runs", "0", "--out-dir", "new"], 2,
+     "runs must be an integer >= 1, got 0"),
+    ("run_reference_cases.py", ["--stations", "nope.csv"], 3, "file not found: nope.csv"),
+    ("run_reference_cases.py", ["--out-dir", "taken"], 2, "File exists: taken"),
+    ("make_stations.py", ["--n", "1"], 2, "need at least 2 stations, got 1"),
+    ("make_stations.py", ["--out", "missing_dir/s.csv"], 3, "file not found: missing_dir/s.csv"),
+], ids=["runs-0", "missing-stations", "out-dir-is-a-file", "one-station", "missing-out-dir"])
+def test_script_errors_exit_like_gspest_writing_nothing(tmp_path, script, args, code, message):
+    (tmp_path / "taken").write_text("")
+    proc = run_script(tmp_path, script, *args)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # no output directory, CSV or graph cache: the settings are checked first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
