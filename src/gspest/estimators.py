@@ -9,10 +9,14 @@ tracked as the squared node-domain deviation (MSD), which equals the squared
 coefficient deviation because the band basis is orthonormal.
 """
 
+import ctypes
+import glob
 import math
+import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -185,7 +189,87 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
     return np.linalg.inv(u_s.T @ (u_s / c_w[sel, None]))
 
 
-_MAX_TILE_SIDE = 32  # a Monte Carlo tile holds at most 32 * 32 (run, step) rows
+_MAX_TILE_SIDE = 32  # a one-lane tile holds at most 32 * 32 (run, step) rows
+_LANE_TILE_ROWS = 256  # a lane's tile holds at most 256 (run, step) rows
+_LANE_MIN_DRAWS = 4096  # a lane drawing fewer per step loses more to the GIL than it gains
+
+
+def _tile_side(n_iter: int) -> int:
+    return max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None when it is not found; looked up on first use, never at import."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's thread count, or None when it cannot be read."""
+    control = _openblas()
+    return None if control is None else int(control[0]())
+
+
+def _mc_lanes(n_runs: int, n_iter: int, m: int, frozen_noise: bool) -> int:
+    """Lanes the Monte Carlo of a row splits its runs into: one per usable CPU,
+    at most one per run, when the noise is redrawn, each lane draws at least
+    _LANE_MIN_DRAWS normals per step (min(tile side, largest lane) * m) and
+    OpenBLAS's thread count can be held at one; otherwise 1."""
+    lanes = min(_usable_cpus(), n_runs)
+    if frozen_noise or n_iter < 2 or lanes < 2:
+        return 1
+    if min(_tile_side(n_iter), -(-n_runs // lanes)) * m < _LANE_MIN_DRAWS:
+        return 1
+    return lanes if _openblas() is not None else 1
+
+
+def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.random.Generator],
+               vals: np.ndarray, tile_runs: int, tile_steps: int, z_buf: np.ndarray,
+               e_buf: np.ndarray, carried: np.ndarray) -> None:
+    """Fill vals[:, 1:] for the runs rngs, tile_runs runs by tile_steps steps
+    at a time: each tile's draws, one matrix product, then its steps. The
+    buffers hold one tile's draws and errors and the error each run carries
+    into its next tile."""
+    n_iter = vals.shape[1]
+    m, f = noise_map.shape
+    for r0 in range(0, len(rngs), tile_runs):
+        chunk = rngs[r0:r0 + tile_runs]
+        delta = carried[:len(chunk)]
+        delta[...] = rec.delta0
+        t0 = 1
+        while t0 < n_iter:
+            steps = min(tile_steps, n_iter - t0)
+            if len(chunk) == 1 and n_iter - t0 - steps == 1 and steps > 1:
+                steps -= 1  # a lone run's last tile takes two steps, so no product has one row
+            rows = len(chunk) * steps
+            z = z_buf[:rows * m].reshape(len(chunk), steps, m)
+            for block, rng in zip(z, chunk):
+                rng.standard_normal(out=block)
+            tile = np.matmul(z.reshape(rows, m), noise_map, out=e_buf[:rows * f].reshape(rows, f))
+            tile = tile.reshape(len(chunk), steps, f)
+            step_delta = delta
+            for j in range(steps):  # the tile's injected noise becomes its errors
+                tile[:, j] += rec.decay * step_delta
+                step_delta = tile[:, j]
+            delta[...] = step_delta  # the next tile overwrites the buffer
+            vals[r0:r0 + len(chunk), t0:t0 + steps] = np.einsum("rtf,rtf->rt", tile, tile)
+            t0 += steps
 
 
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
@@ -200,10 +284,19 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     order, as tests/oracle.py's sampled_noise does, whatever the batch. The
     sqrt(c_s) scaling folds into one (m, f) noise map. With frozen noise each
     run draws one block of m, whose (runs, f) term enters every step.
-    Otherwise runs and steps go in side x side tiles, side =
-    min(_MAX_TILE_SIDE, isqrt(n_iter - 1)), each at most one run's
-    (n_iter - 1) * m draws and one matrix product; the cap bounds a tile's
-    memory whatever n_iter is.
+
+    Otherwise the runs split into _mc_lanes contiguous lanes. On one lane,
+    runs and steps go in side x side tiles, side = min(_MAX_TILE_SIDE,
+    isqrt(n_iter - 1)), each at most one run's (n_iter - 1) * m draws and one
+    matrix product; the cap bounds a tile's memory whatever n_iter is. With
+    more lanes, lane 0 runs in the calling thread and each other lane in its
+    own thread, on tiles of at most side runs and _LANE_TILE_ROWS rows, while
+    OpenBLAS is held at one thread (restored afterwards, also on an error).
+    The calling thread allocates every lane's buffers. The GEMM of a tile of
+    two rows or more gives each row the same bits whatever the tile's height
+    and the BLAS thread count, and a one-row product would go through GEMV
+    instead, so no tile has one row unless side is 1: then every tile has
+    one, on any lane count. So the curves do not depend on the lane count.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -221,26 +314,43 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
             delta = rec.decay * delta + inject
             vals[:, t] = np.einsum("rf,rf->r", delta, delta)
         return vals
-    side = max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
-    # one tile's draws and errors, reused by every tile
-    z_buf, e_buf = np.empty(side * side * m), np.empty(side * side * model.f)
-    for r0 in range(0, n_runs, side):
-        chunk = rngs[r0:r0 + side]
-        delta = rec.delta0
-        for t0 in range(1, n_iter, side):
-            steps = min(side, n_iter - t0)
-            rows = len(chunk) * steps
-            z = z_buf[:rows * m].reshape(len(chunk), steps, m)
-            for block, rng in zip(z, chunk):
-                rng.standard_normal(out=block)
-            tile = np.matmul(z.reshape(rows, m), noise_map,
-                             out=e_buf[:rows * model.f].reshape(rows, model.f))
-            tile = tile.reshape(len(chunk), steps, model.f)
-            for j in range(steps):  # the tile's injected noise becomes its errors
-                tile[:, j] += rec.decay * delta
-                delta = tile[:, j]
-            delta = delta.copy()  # the next tile overwrites the buffer
-            vals[r0:r0 + len(chunk), t0:t0 + steps] = np.einsum("rtf,rtf->rt", tile, tile)
+    side = _tile_side(n_iter)
+    lanes = _mc_lanes(n_runs, n_iter, m, frozen_noise)
+    bounds = [i * n_runs // lanes for i in range(lanes + 1)]
+    jobs = []
+    for a, b in zip(bounds, bounds[1:]):
+        tile_runs = side if lanes == 1 else min(side, b - a)
+        tile_steps = side if lanes == 1 else min(side, _LANE_TILE_ROWS // tile_runs)
+        rows = tile_runs * tile_steps
+        jobs.append((rngs[a:b], vals[a:b], tile_runs, tile_steps, np.empty(rows * m),
+                     np.empty(rows * model.f), np.empty((tile_runs, model.f))))
+    if lanes == 1:
+        _tile_loop(rec, noise_map, *jobs[0])
+        return vals
+    errors = []
+
+    def lane(job):
+        try:
+            _tile_loop(rec, noise_map, *job)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    get_threads, set_threads = _openblas()
+    before = get_threads()
+    set_threads(1)  # two threaded GEMMs at once contend
+    started = []
+    try:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=lane, args=(job,))
+            thread.start()
+            started.append(thread)
+        lane(jobs[0])
+    finally:
+        for thread in started:
+            thread.join()
+        set_threads(before)
+    if errors:
+        raise errors[0]
     return vals
 
 

@@ -140,16 +140,30 @@ _GRID_ITERATIONS = {"lms": 1000, "rls": 200}
 def reference_grid(algorithms, scenarios, runs, master_seed, stations_csv=None,
                    n_stations=299) -> list[tuple[str, int, ExperimentConfig]]:
     """The study grid's rows, nested estimator, case, scenario, parameter:
-    (file stem "<alg>_case<c>_<scn>_p<param>", case number, checked config)."""
+    (file stem "<alg>_case<c>_<scn>_p<param>", case number, config checked
+    also against the n_stations limits that prepare_experiment checks)."""
     if unknown := [a for a in algorithms if a not in _GRID_ITERATIONS]:
         raise ConfigError([f"the reference grid has no algorithm {a!r}; choose from "
                            f"{', '.join(map(repr, _GRID_ITERATIONS))}" for a in unknown])
-    return [(f"{algorithm}_case{case}_{scenario}_p{param}", case, ExperimentConfig(
+    rows = [(f"{algorithm}_case{case}_{scenario}_p{param}", case, ExperimentConfig(
                 algorithm=algorithm, param=param, k=k, bandwidth=bandwidth, sample_size=210,
                 scenario=scenario, iterations=_GRID_ITERATIONS[algorithm], runs=runs,
                 master_seed=master_seed, stations_csv=stations_csv, n_stations=n_stations))
             for algorithm in algorithms for case, (k, bandwidth, params) in _GRID_CASES.items()
             for scenario in scenarios for param in params[algorithm]]
+    if errors := dict.fromkeys(error for _, _, config in rows
+                               for error in _station_count_errors(config, n_stations)):
+        raise ConfigError(list(errors))
+    return rows
+
+
+def _station_count_errors(config: ExperimentConfig, n: int) -> list[str]:
+    """The config's limits set by a table of n stations, each broken one as a message."""
+    return [message for too_many, message in (
+        (config.k > n - 1, f"k ({config.k}) must be at most n-1 ({n - 1})"),
+        (config.bandwidth > n, f"bandwidth ({config.bandwidth}) must be at most n ({n})"),
+        (config.sample_size > n, f"sample_size ({config.sample_size}) must be at most n ({n})"),
+    ) if too_many]
 
 
 def covariance_seed(master_seed: int) -> int:
@@ -204,13 +218,7 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         if config.stations_csv is not None:
             raise ValueError("stations_csv is set; load the table and pass it in")
         stations = synthetic_stations(config.n_stations, config.stations_seed)
-    n = stations.n
-    errors = [message for too_many, message in (
-        (config.k > n - 1, f"k ({config.k}) must be at most n-1 ({n - 1})"),
-        (config.bandwidth > n, f"bandwidth ({config.bandwidth}) must be at most n ({n})"),
-        (config.sample_size > n, f"sample_size ({config.sample_size}) must be at most n ({n})"),
-    ) if too_many]
-    if errors:
+    if errors := _station_count_errors(config, stations.n):
         raise ConfigError(errors)
     if basis is None:
         basis = gft_basis(laplacian(build_knn_graph(stations, config.k)))
@@ -364,15 +372,17 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     ascending index order.
     """
     started = time.perf_counter()
+    blas_threads = estimators._blas_threads()  # what the eigendecompositions run on
     model = prepare_experiment(config, stations, basis)
     prepared = time.perf_counter()
     t_count, n_runs = config.iterations, config.runs
+    frozen = config.noise_protocol == "frozen"
     theory_paper, theory_exact = theory_curves(config, model)
     predicted = time.perf_counter()
     trajectory = getattr(estimators, f"{config.algorithm}_msd_trajectory")  # traced, as above
     per_run = trajectory(model, config.param, t_count,
                          [run_rng(config.master_seed, r) for r in range(n_runs)],
-                         frozen_noise=config.noise_protocol == "frozen")
+                         frozen_noise=frozen)
     msd_mean = per_run.mean(axis=0)
     if n_runs > 1:
         msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
@@ -383,6 +393,8 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         "sampling_indices": list(model.sampling.indices),
         "lambda_min": model.lam_min,
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
+        "blas_threads": blas_threads,  # None when it cannot be read
+        "mc_lanes": estimators._mc_lanes(n_runs, t_count, len(model.sampling.indices), frozen),
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
     }

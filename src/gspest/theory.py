@@ -16,7 +16,8 @@ S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
   This is the mode Monte Carlo runs converge to.
 
 Both start at t = 1 with the full signal energy (zero initial estimate).
-A coordinate whose geometric ratio is within 1e-13 of 1 sums to t.
+A coordinate whose geometric ratio is within 1e-13 of 1 sums to t; within
+1e-3 of 1 its partial sums come from expm1 and log1p, which do not cancel.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,9 @@ class TheoryCurve:
 
 
 _BLOCK = 256  # columns of t per block: the working memory is O(f * _BLOCK), not O(f * T)
+# Below this distance of a ratio from 1, 1 - base^t cancels: about 1e-16 / (1 - base)
+# relative. The expm1 form has no such loss; the threshold keeps every grid curve's bytes.
+_NEAR_ONE = 1e-3
 
 
 def _geometric_blocks(base: np.ndarray, t_max: int):
@@ -53,12 +57,18 @@ def _geometric_blocks(base: np.ndarray, t_max: int):
     (1 - base^t) / (1 - base) per row, for t = 0..t_max-1, yielded as
     (t0, powers, sums) blocks of _BLOCK columns.
 
+    Within _NEAR_ONE of 1, a sum is -expm1(t log1p(-eps)) / eps, eps = 1 - base,
+    which keeps full accuracy as base -> 1.
+
     Each block starts from the last power times base, the product one cumprod
     over every t would take. A vector-matrix product of fewer than 4 columns
     takes another BLAS path, so a shorter tail joins the block before it. The
     curves are then bit-identical to one unblocked evaluation.
     """
-    flat = np.abs(1.0 - base) < 1e-13
+    eps = 1.0 - base
+    flat = np.abs(eps) < 1e-13
+    near = ~flat & (np.abs(eps) < _NEAR_ONE)
+    log_base = np.log1p(-eps[near])[:, None]
     first = np.ones(base.shape[0])  # base^t0
     t0 = 0
     while t0 < t_max:
@@ -69,8 +79,11 @@ def _geometric_blocks(base: np.ndarray, t_max: int):
         np.cumprod(powers, axis=1, out=powers)
         first = powers[:, -1] * base
         with np.errstate(divide="ignore", invalid="ignore"):
-            sums = (1.0 - powers) / (1.0 - base)[:, None]
-        sums[flat, :] = np.arange(t0, t0 + count, dtype=float)
+            sums = (1.0 - powers) / eps[:, None]
+        t = np.arange(t0, t0 + count, dtype=float)
+        if near.any():
+            sums[near] = -np.expm1(t * log_base) / eps[near, None]
+        sums[flat, :] = t
         yield t0, powers, sums
         del powers, sums  # freed before the next block is built
         t0 += count

@@ -3,6 +3,7 @@ estimator table."""
 
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,13 @@ from gspest import (
     build_cw,
     check_recoverability,
     lms_msd_trajectory,
+    prepare_experiment,
+    reference_grid,
     rls_gain_matrix,
     rls_msd_trajectory,
     run_experiment,
 )
+from gspest import estimators
 from gspest.cli import main
 from gspest.estimators import ESTIMATORS
 from gspest.harness import _to_db, run_rng
@@ -323,6 +327,122 @@ class TestTrajectories:
         alone = curves(1)
         for batch in (7, 50):
             assert_allclose(curves(batch), alone, rtol=1e-12)
+
+
+needs_blas_control = pytest.mark.skipif(estimators._openblas() is None,
+                                        reason="no OpenBLAS thread control found")
+
+
+class FailingStream:
+    """A run stream that records the BLAS thread count and then fails."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def standard_normal(self, out):
+        self.seen.append(estimators._blas_threads())
+        raise RuntimeError("this lane failed")
+
+
+@needs_blas_control
+class TestLanes:
+    """A row's runs split over lanes, one thread each, with the same bits as
+    one lane; the gate is opened and the CPU count set by monkeypatch."""
+
+    @staticmethod
+    def lanes(monkeypatch, count, min_draws=0):
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(estimators, "_LANE_MIN_DRAWS", min_draws)
+
+    # 40 runs x 300 steps: tile side 17, so two lanes of 20 runs take tiles of
+    # 17 runs x 15 steps (the 256-row cap), three lanes of 13 or 14 runs 17
+    # steps. 5 runs x 18 steps: side 4, so one lane leaves a lone run whose
+    # 17 steps end in a single one, which must not make a one-row product
+    @pytest.mark.parametrize("n_runs, n_iter", [(40, 300), (5, 18)])
+    @pytest.mark.parametrize("trajectory, param", [
+        (lms_msd_trajectory, 0.5),
+        (rls_msd_trajectory, 0.7),
+    ], ids=["lms", "rls"])
+    def test_curves_equal_across_lane_counts(self, setup10, monkeypatch, trajectory, param,
+                                             n_runs, n_iter):
+        curves = {}
+        for count in (1, 2, 3):
+            self.lanes(monkeypatch, count)
+            assert estimators._mc_lanes(n_runs, n_iter, setup10.sampling.size, False) == count
+            curves[count] = trajectory(setup10, param, n_iter,
+                                       [run_rng(3, r) for r in range(n_runs)])
+        assert_array_equal(curves[2], curves[1])
+        assert_array_equal(curves[3], curves[1])
+
+    def test_case1_lms_row_two_lanes_equal_one(self, monkeypatch):
+        _, _, config = reference_grid(["lms"], ["iii"], 50, 42)[0]
+        model = prepare_experiment(config)
+        curves = {}
+        for count in (1, 2):
+            self.lanes(monkeypatch, count, estimators._LANE_MIN_DRAWS)  # the gate as it is
+            assert estimators._mc_lanes(50, 1000, 210, False) == count
+            curves[count] = lms_msd_trajectory(model, config.param, 1000,
+                                               [run_rng(42, r) for r in range(50)])
+        assert_array_equal(curves[2], curves[1])
+
+    @pytest.mark.parametrize("failing", [None, 0, 19, "start"],
+                             ids=["none", "lane-0", "lane-1", "thread-start"])
+    def test_blas_thread_count_is_restored(self, setup10, monkeypatch, failing):
+        self.lanes(monkeypatch, 2)
+        before, seen = estimators._blas_threads(), []
+        rngs = [run_rng(42, r) for r in range(20)]
+        if failing is None:
+            lms_msd_trajectory(setup10, 0.5, 60, rngs)
+        elif failing == "start":
+            def refuse(thread):
+                seen.append(estimators._blas_threads())
+                raise RuntimeError("can't start new thread")
+
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                lms_msd_trajectory(setup10, 0.5, 60, rngs)
+            assert seen == [1]
+        else:
+            rngs[failing] = FailingStream(seen)
+            with pytest.raises(RuntimeError, match="this lane failed"):
+                lms_msd_trajectory(setup10, 0.5, 60, rngs)
+            assert seen == [1]  # held at one thread while the lanes ran
+        assert estimators._blas_threads() == before
+
+    def test_gate(self, monkeypatch):
+        self.lanes(monkeypatch, 2, estimators._LANE_MIN_DRAWS)
+        # runs, iterations, m: the grid's LMS and RLS rows, the largest
+        # sampling-sweep row and a c03 row
+        assert estimators._mc_lanes(50, 1000, 210, False) == 2  # 25 x 210 = 5250 draws
+        assert estimators._mc_lanes(50, 200, 210, False) == 1  # 14 x 210 = 2940
+        assert estimators._mc_lanes(30, 200, 240, False) == 1  # 14 x 240 = 3360
+        assert estimators._mc_lanes(10_000, 200, 6, False) == 1  # 14 x 6 = 84
+        assert estimators._mc_lanes(50, 1000, 210, True) == 1  # frozen noise draws once
+        self.lanes(monkeypatch, 1, estimators._LANE_MIN_DRAWS)
+        assert estimators._mc_lanes(50, 1000, 210, False) == 1
+
+    def test_row_under_the_gate_starts_no_thread(self, setup10, monkeypatch):
+        self.lanes(monkeypatch, 2, estimators._LANE_MIN_DRAWS)
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        lms_msd_trajectory(setup10, 0.5, 1000, [run_rng(42, r) for r in range(50)])
+
+    def test_tile_product_rows_do_not_depend_on_height_or_blas_threads(self):
+        get_threads, set_threads = estimators._openblas()
+        rng = np.random.default_rng(5)
+        z, noise_map = rng.standard_normal((961, 210)), rng.standard_normal((210, 200))
+        want = z @ noise_map
+        before = get_threads()
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                assert_array_equal(z @ noise_map, want)
+                assert_array_equal(z[:256] @ noise_map, want[:256])
+        finally:
+            set_threads(before)
 
 
 TRAJECTORIES = pytest.mark.parametrize("trajectory, param", [

@@ -145,12 +145,19 @@ class TestReferenceGrid:
             harness.reference_grid(algorithms, scenarios, 2, 42)
 
     def test_rows_carry_the_run_settings_and_station_source(self):
-        rows = harness.reference_grid(["rls"], ["ii"], 3, 7, "/data/st.csv", 120)
+        rows = harness.reference_grid(["rls"], ["ii"], 3, 7, "/data/st.csv", 300)
         assert [stem for stem, _, _ in rows] == [
             "rls_case1_ii_p0.61", "rls_case1_ii_p0.85", "rls_case2_ii_p0.55", "rls_case2_ii_p0.79"]
         assert [case for _, case, _ in rows] == [1, 1, 2, 2]
         assert {(c.runs, c.master_seed, c.stations_csv, c.n_stations) for _, _, c in rows} == {
-            (3, 7, "/data/st.csv", 120)}
+            (3, 7, "/data/st.csv", 300)}
+
+    def test_station_count_limits_are_checked_once_each(self):
+        with pytest.raises(ConfigError) as caught:
+            harness.reference_grid(["lms", "rls"], ["i", "iii"], 2, 42, "/data/st.csv", 150)
+        assert caught.value.errors == ["bandwidth (200) must be at most n (150)",
+                                       "sample_size (210) must be at most n (150)",
+                                       "bandwidth (160) must be at most n (150)"]
 
 
 class TestSeedScheme:

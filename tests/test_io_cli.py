@@ -362,6 +362,13 @@ class TestManifest:
         for key, value in result.metadata.items():
             assert manifest[written_as.get(key, key)] == value, key
 
+    def test_records_blas_threads_and_mc_lanes(self):
+        config = small_config(iterations=15, runs=2)
+        stations = synthetic_stations(config.n_stations, config.stations_seed)
+        manifest = gio.build_manifest(run_experiment(config, stations), stations, 0.0)
+        assert manifest["blas_threads"] is None or type(manifest["blas_threads"]) is int
+        assert manifest["mc_lanes"] == 1  # m = 6 draws per step: under the gate
+
     def test_rls_records_predicted_gap(self):
         lam = 0.7
         config = small_config(algorithm="rls", param=lam, iterations=15, runs=2)

@@ -90,3 +90,13 @@ def test_script_errors_exit_like_gspest_writing_nothing(tmp_path, script, args, 
     assert "Traceback" not in proc.stderr
     # no output directory, CSV or graph cache: the settings are checked first
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_station_count_limits_checked_before_writing(tmp_path):
+    assert run_script(tmp_path, "make_stations.py", "--n", "50", "--out", "s50.csv").returncode == 0
+    proc = run_script(tmp_path, "run_reference_cases.py", "--stations", "s50.csv",
+                      "--out-dir", "new")
+    assert proc.returncode == 2, proc.stderr
+    assert "bandwidth (200) must be at most n (50)" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s50.csv"]

@@ -28,7 +28,7 @@ from gspest import (
 )
 from gspest.estimators import ErrorRecursion
 from gspest.sampling import SamplingSet, sampled_gram
-from gspest.theory import _BLOCK, _transient, limits
+from gspest.theory import _BLOCK, _noise_energy, _transient, limits
 
 from conftest import random_orthonormal
 from oracle import sampling_mask, solve_lms_lyapunov
@@ -412,6 +412,26 @@ class TestBlockedCurves:
             tracemalloc.stop()
         blocks = (peak - 8 * t_max) / (8 * f * (_BLOCK + 4))
         assert blocks < 4.5, f"{mode} peaked at {blocks:.1f} blocks above its output"
+
+
+class TestNearOne:
+    """The partial sums (1 - b^t) / (1 - b) cancel as b -> 1; the noise term
+    of the exact mode must still hold 1e-12 relative against 50-digit sums."""
+
+    @pytest.mark.parametrize("algorithm, param", [("lms", 1e-7), ("rls", 1 - 1e-8)])
+    def test_noise_term_against_mpmath(self, setup10, algorithm, param):
+        mpmath = pytest.importorskip("mpmath")
+        rec = setup10.recursion(algorithm, param)
+        rec = replace(rec, delta0=np.zeros_like(rec.delta0))  # the noise term alone
+        t_max = 3000
+        got = _transient(rec, "exact", t_max)
+        with mpmath.workdps(50):
+            step2 = mpmath.mpf(rec.step) ** 2
+            terms = [(mpmath.mpf(q), mpmath.mpf(d) ** 2)
+                     for q, d in zip(_noise_energy(rec), rec.decay)]
+            want = np.array([float(step2 * sum(q * (1 - b**t) / (1 - b) for q, b in terms))
+                             for t in range(1, t_max)])
+        assert np.max(np.abs(got[1:] - want) / want) <= 1e-12
 
 
 class TestErrorRecursion:
