@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,13 +56,15 @@ def _claim_outputs(inputs, outputs):
 
 def _inputs(args, *outputs):
     """Config, station table and graph basis of a run or theory command,
-    after its outputs are claimed."""
+    after its outputs are claimed. The config names the table by its absolute
+    path, so the manifest's copy reruns from any working directory."""
     config = gio.load_config(args.config)
     _claim_outputs([("config", args.config), ("stations", config.stations_csv)], outputs)
     if config.stations_csv is None:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
     else:
         stations = gio.read_station_csv(config.stations_csv)
+        config = replace(config, stations_csv=os.path.abspath(config.stations_csv))
     return config, stations, _cached_basis(args.cache_dir, stations, config.k)
 
 

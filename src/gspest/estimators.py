@@ -189,13 +189,9 @@ def rls_gain_matrix(band: BandBasis, sampling: SamplingSet, c_w: np.ndarray) -> 
     return np.linalg.inv(u_s.T @ (u_s / c_w[sel, None]))
 
 
-_MAX_TILE_SIDE = 32  # a one-lane tile holds at most 32 * 32 (run, step) rows
-_LANE_TILE_ROWS = 256  # a lane's tile holds at most 256 (run, step) rows
-_LANE_MIN_DRAWS = 4096  # a lane drawing fewer per step loses more to the GIL than it gains
-
-
-def _tile_side(n_iter: int) -> int:
-    return max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
+_MAX_TILE_SIDE = 32  # a chunk holds at most 32 runs
+_TILE_ROWS = 256  # a tile holds at most 256 (run, step) rows
+_LANE_MIN_DRAWS = 4096  # a chunk drawing fewer per step loses more to the GIL than lanes gain
 
 
 def _usable_cpus() -> int:
@@ -226,37 +222,47 @@ def _blas_threads() -> int | None:
     return None if control is None else int(control[0]())
 
 
+def _schedule(n_runs: int, n_iter: int, m: int) -> tuple[int, int, int, bool]:
+    """(runs per chunk, steps per tile, lanes, whether OpenBLAS is held at one
+    thread) of a row with redrawn noise, from its shape and the usable CPUs.
+
+    The runs go in ceil(n_runs / side) contiguous chunks of ceil(n_runs /
+    chunks) runs, the last may hold fewer, side = min(_MAX_TILE_SIDE,
+    isqrt(n_iter - 1)). A tile takes _TILE_ROWS // (runs per chunk) steps of
+    a chunk, at most n_iter - 1. A row splits when it has two chunks or more,
+    each draws at least _LANE_MIN_DRAWS normals per step and OpenBLAS's thread
+    count can be set: then every product runs at one BLAS thread, on one lane
+    per usable CPU, at most one per chunk, each taking whole chunks. Any other
+    row runs on one lane at the caller's thread count.
+    """
+    side = max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
+    chunks = max(1, -(-n_runs // side))
+    chunk = max(1, -(-n_runs // chunks))
+    split = n_iter > 1 and chunks > 1 and chunk * m >= _LANE_MIN_DRAWS and _openblas() is not None
+    lanes = min(_usable_cpus(), chunks) if split else 1
+    return chunk, max(1, min(n_iter - 1, _TILE_ROWS // chunk)), lanes, split
+
+
 def _mc_lanes(n_runs: int, n_iter: int, m: int, frozen_noise: bool) -> int:
-    """Lanes the Monte Carlo of a row splits its runs into: one per usable CPU,
-    at most one per run, when the noise is redrawn, each lane draws at least
-    _LANE_MIN_DRAWS normals per step (min(tile side, largest lane) * m) and
-    OpenBLAS's thread count can be held at one; otherwise 1."""
-    lanes = min(_usable_cpus(), n_runs)
-    if frozen_noise or n_iter < 2 or lanes < 2:
-        return 1
-    if min(_tile_side(n_iter), -(-n_runs // lanes)) * m < _LANE_MIN_DRAWS:
-        return 1
-    return lanes if _openblas() is not None else 1
+    """Lanes the Monte Carlo of a row splits its runs into (_schedule); 1 with frozen noise."""
+    return 1 if frozen_noise else _schedule(n_runs, n_iter, m)[2]
 
 
 def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.random.Generator],
                vals: np.ndarray, tile_runs: int, tile_steps: int, z_buf: np.ndarray,
                e_buf: np.ndarray, carried: np.ndarray) -> None:
-    """Fill vals[:, 1:] for the runs rngs, tile_runs runs by tile_steps steps
-    at a time: each tile's draws, one matrix product, then its steps. The
-    buffers hold one tile's draws and errors and the error each run carries
-    into its next tile."""
+    """Fill vals[:, 1:] for the runs rngs, one chunk of tile_runs runs at a
+    time, tile_steps steps per tile: each tile's draws, one matrix product,
+    then its steps. The buffers hold one tile's draws and errors and the error
+    each run carries into its next tile."""
     n_iter = vals.shape[1]
     m, f = noise_map.shape
     for r0 in range(0, len(rngs), tile_runs):
         chunk = rngs[r0:r0 + tile_runs]
         delta = carried[:len(chunk)]
         delta[...] = rec.delta0
-        t0 = 1
-        while t0 < n_iter:
+        for t0 in range(1, n_iter, tile_steps):
             steps = min(tile_steps, n_iter - t0)
-            if len(chunk) == 1 and n_iter - t0 - steps == 1 and steps > 1:
-                steps -= 1  # a lone run's last tile takes two steps, so no product has one row
             rows = len(chunk) * steps
             z = z_buf[:rows * m].reshape(len(chunk), steps, m)
             for block, rng in zip(z, chunk):
@@ -269,7 +275,6 @@ def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.ran
                 step_delta = tile[:, j]
             delta[...] = step_delta  # the next tile overwrites the buffer
             vals[r0:r0 + len(chunk), t0:t0 + steps] = np.einsum("rtf,rtf->rt", tile, tile)
-            t0 += steps
 
 
 def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
@@ -285,18 +290,13 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     sqrt(c_s) scaling folds into one (m, f) noise map. With frozen noise each
     run draws one block of m, whose (runs, f) term enters every step.
 
-    Otherwise the runs split into _mc_lanes contiguous lanes. On one lane,
-    runs and steps go in side x side tiles, side = min(_MAX_TILE_SIDE,
-    isqrt(n_iter - 1)), each at most one run's (n_iter - 1) * m draws and one
-    matrix product; the cap bounds a tile's memory whatever n_iter is. With
-    more lanes, lane 0 runs in the calling thread and each other lane in its
-    own thread, on tiles of at most side runs and _LANE_TILE_ROWS rows, while
-    OpenBLAS is held at one thread (restored afterwards, also on an error).
-    The calling thread allocates every lane's buffers. The GEMM of a tile of
-    two rows or more gives each row the same bits whatever the tile's height
-    and the BLAS thread count, and a one-row product would go through GEMV
-    instead, so no tile has one row unless side is 1: then every tile has
-    one, on any lane count. So the curves do not depend on the lane count.
+    Otherwise the runs go in the chunks and tiles of _schedule, one matrix
+    product per tile, so a tile's memory is bounded whatever n_iter is. A row
+    that splits holds OpenBLAS at one thread (restored afterwards, also on an
+    error) and runs lane 0 in the calling thread and each other lane in its
+    own thread; the calling thread allocates every lane's buffers. A run's
+    products have the same shapes and thread count on any lane count, so its
+    curve does not depend on the lane count.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -314,17 +314,13 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
             delta = rec.decay * delta + inject
             vals[:, t] = np.einsum("rf,rf->r", delta, delta)
         return vals
-    side = _tile_side(n_iter)
-    lanes = _mc_lanes(n_runs, n_iter, m, frozen_noise)
-    bounds = [i * n_runs // lanes for i in range(lanes + 1)]
-    jobs = []
-    for a, b in zip(bounds, bounds[1:]):
-        tile_runs = side if lanes == 1 else min(side, b - a)
-        tile_steps = side if lanes == 1 else min(side, _LANE_TILE_ROWS // tile_runs)
-        rows = tile_runs * tile_steps
-        jobs.append((rngs[a:b], vals[a:b], tile_runs, tile_steps, np.empty(rows * m),
-                     np.empty(rows * model.f), np.empty((tile_runs, model.f))))
-    if lanes == 1:
+    chunk, steps, lanes, split = _schedule(n_runs, n_iter, m)
+    chunks = -(-n_runs // chunk)
+    bounds = [chunk * (i * chunks // lanes) for i in range(lanes + 1)]
+    jobs = [(rngs[a:b], vals[a:b], chunk, steps, np.empty(chunk * steps * m),
+             np.empty(chunk * steps * model.f), np.empty((chunk, model.f)))
+            for a, b in zip(bounds, bounds[1:])]
+    if not split:
         _tile_loop(rec, noise_map, *jobs[0])
         return vals
     errors = []
@@ -337,7 +333,7 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
 
     get_threads, set_threads = _openblas()
     before = get_threads()
-    set_threads(1)  # two threaded GEMMs at once contend
+    set_threads(1)  # on any lane count, so a run's products round alike
     started = []
     try:
         for job in jobs[1:]:

@@ -334,14 +334,17 @@ needs_blas_control = pytest.mark.skipif(estimators._openblas() is None,
 
 
 class FailingStream:
-    """A run stream that records the BLAS thread count and then fails."""
+    """A run stream that records the BLAS thread count at each draw, then
+    draws from rng, or fails without one."""
 
-    def __init__(self, seen):
-        self.seen = seen
+    def __init__(self, seen, rng=None):
+        self.seen, self.rng = seen, rng
 
     def standard_normal(self, out):
         self.seen.append(estimators._blas_threads())
-        raise RuntimeError("this lane failed")
+        if self.rng is None:
+            raise RuntimeError("this lane failed")
+        return self.rng.standard_normal(out=out)
 
 
 @needs_blas_control
@@ -354,23 +357,41 @@ class TestLanes:
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: count)
         monkeypatch.setattr(estimators, "_LANE_MIN_DRAWS", min_draws)
 
-    # 40 runs x 300 steps: tile side 17, so two lanes of 20 runs take tiles of
-    # 17 runs x 15 steps (the 256-row cap), three lanes of 13 or 14 runs 17
-    # steps. 5 runs x 18 steps: side 4, so one lane leaves a lone run whose
-    # 17 steps end in a single one, which must not make a one-row product
-    @pytest.mark.parametrize("n_runs, n_iter", [(40, 300), (5, 18)])
+    # 40 runs x 300 steps: side 17, so chunks of 14, 14 and 12 runs in tiles
+    # of 18 steps. 5 runs x 18 steps: side 4, so chunks of 3 and 2 runs
+    @pytest.mark.parametrize("n_runs, n_iter, chunks", [(40, 300, 3), (5, 18, 2)],
+                             ids=["40-300", "5-18"])
     @pytest.mark.parametrize("trajectory, param", [
         (lms_msd_trajectory, 0.5),
         (rls_msd_trajectory, 0.7),
     ], ids=["lms", "rls"])
     def test_curves_equal_across_lane_counts(self, setup10, monkeypatch, trajectory, param,
-                                             n_runs, n_iter):
+                                             n_runs, n_iter, chunks):
         curves = {}
         for count in (1, 2, 3):
             self.lanes(monkeypatch, count)
-            assert estimators._mc_lanes(n_runs, n_iter, setup10.sampling.size, False) == count
+            lanes = estimators._mc_lanes(n_runs, n_iter, setup10.sampling.size, False)
+            assert lanes == min(count, chunks)
             curves[count] = trajectory(setup10, param, n_iter,
                                        [run_rng(3, r) for r in range(n_runs)])
+        assert_array_equal(curves[2], curves[1])
+        assert_array_equal(curves[3], curves[1])
+
+    # Bandwidths where a GEMM row's bits depend on the tile's height. 34 runs
+    # x 300 steps: two chunks of 17 runs, 17 x 250 = 4250 draws per step
+    @pytest.mark.parametrize("f", [180, 203])
+    def test_curves_equal_across_lane_counts_off_the_grid(self, monkeypatch, f):
+        band = random_orthonormal(260, f, seed=f)
+        rng = np.random.default_rng(f)
+        model = SignalModel(band=band, s_f=rng.standard_normal(f),
+                            sampling=SamplingSet(indices=range(250), n=260),
+                            noise=NoiseModel(c_w=rng.uniform(0.01, 0.1, 260)))
+        curves = {}
+        for count in (1, 2, 3):
+            self.lanes(monkeypatch, count, estimators._LANE_MIN_DRAWS)  # the gate as it is
+            assert estimators._mc_lanes(34, 300, 250, False) == min(count, 2)
+            curves[count] = lms_msd_trajectory(model, 0.3, 300,
+                                               [run_rng(42, r) for r in range(34)])
         assert_array_equal(curves[2], curves[1])
         assert_array_equal(curves[3], curves[1])
 
@@ -412,14 +433,32 @@ class TestLanes:
     def test_gate(self, monkeypatch):
         self.lanes(monkeypatch, 2, estimators._LANE_MIN_DRAWS)
         # runs, iterations, m: the grid's LMS and RLS rows, the largest
-        # sampling-sweep row and a c03 row
+        # sampling-sweep row and a c03 row; draws per step of a chunk
         assert estimators._mc_lanes(50, 1000, 210, False) == 2  # 25 x 210 = 5250 draws
-        assert estimators._mc_lanes(50, 200, 210, False) == 1  # 14 x 210 = 2940
-        assert estimators._mc_lanes(30, 200, 240, False) == 1  # 14 x 240 = 3360
+        assert estimators._mc_lanes(50, 200, 210, False) == 1  # 13 x 210 = 2730
+        assert estimators._mc_lanes(30, 200, 240, False) == 1  # 10 x 240 = 2400
         assert estimators._mc_lanes(10_000, 200, 6, False) == 1  # 14 x 6 = 84
         assert estimators._mc_lanes(50, 1000, 210, True) == 1  # frozen noise draws once
+        assert estimators._mc_lanes(31, 1000, 4096, False) == 1  # one chunk
         self.lanes(monkeypatch, 1, estimators._LANE_MIN_DRAWS)
         assert estimators._mc_lanes(50, 1000, 210, False) == 1
+
+    @pytest.mark.parametrize("min_draws, want", [(0, 1), (estimators._LANE_MIN_DRAWS, 2)],
+                             ids=["splits", "under-the-gate"])
+    def test_blas_threads_follow_the_row_not_the_cpus(self, setup10, monkeypatch, min_draws,
+                                                      want):
+        # one usable CPU: a row that splits still runs at one BLAS thread
+        self.lanes(monkeypatch, 1, min_draws)
+        get_threads, set_threads = estimators._openblas()
+        before, seen = get_threads(), []
+        set_threads(2)
+        try:
+            lms_msd_trajectory(setup10, 0.5, 60,
+                               [FailingStream(seen, run_rng(42, r)) for r in range(20)])
+            assert set(seen) == {want}
+            assert estimators._blas_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_row_under_the_gate_starts_no_thread(self, setup10, monkeypatch):
         self.lanes(monkeypatch, 2, estimators._LANE_MIN_DRAWS)

@@ -664,6 +664,23 @@ class TestCliRun:
             assert "unrecognized arguments: --stations" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_manifest_config_reruns_from_another_directory(self, tmp_path, monkeypatch):
+        # a relative stations_csv is read against the working directory and
+        # recorded by its absolute path
+        here, there = tmp_path / "a", tmp_path / "b"
+        here.mkdir()
+        there.mkdir()
+        write_stations(here, n=10, seed=2018, name="st.csv")
+        write_config(here, iterations=10, runs=2, stations_csv="st.csv")
+        monkeypatch.chdir(here)
+        assert main(["run", "config.json", "--out", "res.csv", "--cache-dir", "cache"]) == 0
+        manifest = gio.read_manifest(str(here / "res.csv.manifest.json"))
+        assert manifest["config"]["stations_csv"] == str(here / "st.csv")
+        (there / "config.json").write_text(json.dumps(manifest["config"]))
+        monkeypatch.chdir(there)
+        assert main(["run", "config.json", "--out", "res.csv", "--cache-dir", "cache"]) == 0
+        assert (there / "res.csv").read_bytes() == (here / "res.csv").read_bytes()
+
 
 class TestCliTheory:
     def test_theory_columns_match_run_output(self, tmp_path):
