@@ -36,7 +36,7 @@ def _cached_basis(cache_dir, stations, k):
     return basis
 
 
-def _claim_outputs(inputs, outputs):
+def claim_outputs(inputs, outputs):
     """Refuse each (label, path) output that names an input or an earlier
     output (after resolving links), then open it for appending, so a missing
     directory (exit 3) or an unwritable path (exit 2) fails before anything is
@@ -59,7 +59,7 @@ def _inputs(args, *outputs):
     after its outputs are claimed. The config names the table by its absolute
     path, so the manifest's copy reruns from any working directory."""
     config = gio.load_config(args.config)
-    _claim_outputs([("config", args.config), ("stations", config.stations_csv)], outputs)
+    claim_outputs([("config", args.config), ("stations", config.stations_csv)], outputs)
     if config.stations_csv is None:
         stations = synthetic_stations(config.n_stations, config.stations_seed)
     else:
@@ -89,17 +89,32 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    manifest_path = args.out + ".manifest.json"
-    config, stations, basis = _inputs(args, ("--out", args.out), ("manifest", manifest_path))
+def row_outputs(label, out):
+    """The (label, path) outputs that run_row writes for one row, to claim
+    first: the results CSV at out and its manifest at <out>.manifest.json."""
+    return [(label, out), ("manifest", out + ".manifest.json")]
+
+
+def run_row(config, stations, basis, out):
+    """Run one row, write its results CSV to out and its manifest to
+    <out>.manifest.json, and return the RunResult and the run's seconds.
+    gspest run and scripts/run_reference_cases.py write every row here.
+    run_experiment is looked up in this module at call time, so a caller
+    may replace cli.run_experiment to keep each result (perfbench does)."""
     started = time.monotonic()
     result = run_experiment(config, stations, basis)
     duration = time.monotonic() - started
-    gio.write_results_csv(args.out, result)
-    gio.write_manifest(manifest_path, gio.build_manifest(result, stations, duration))
+    gio.write_results_csv(out, result)
+    gio.write_manifest(out + ".manifest.json", gio.build_manifest(result, stations, duration))
+    return result, duration
+
+
+def cmd_run(args) -> int:
+    config, stations, basis = _inputs(args, *row_outputs("--out", args.out))
+    result, _ = run_row(config, stations, basis, args.out)
     dev = result.deviation
     print(f"wrote {args.out} ({config.iterations} iterations, {config.runs} runs)")
-    print(f"manifest: {manifest_path}")
+    print(f"manifest: {args.out}.manifest.json")
     print(f"tail mean |emp - theory| dB: paper {dev.paper_mean_abs_db:.3f} "
           f"({dev.paper_n_nonfinite} non-finite points), exact {dev.exact_mean_abs_db:.3f} "
           f"({dev.exact_n_nonfinite} non-finite points); burn-in {dev.burn_in_fraction:g}")
@@ -119,7 +134,7 @@ def cmd_compare(args) -> int:
     if not 0 <= args.burn_in < 1:
         raise ConfigError([f"--burn-in must lie in [0, 1), got {args.burn_in}"])
     if args.json:
-        _claim_outputs([("results", args.results_csv)], [("--json", args.json)])
+        claim_outputs([("results", args.results_csv)], [("--json", args.json)])
     cols = gio.read_results_csv(args.results_csv)
     n_tail, modes = tail_report(cols["msd_emp_db"], cols["msd_theory_paper_db"],
                                 cols["msd_theory_exact_db"], args.burn_in)

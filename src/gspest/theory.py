@@ -16,8 +16,8 @@ S_t = (1 - d^t) / (1 - d), every curve is a sum over the f coordinates:
   This is the mode Monte Carlo runs converge to.
 
 Both start at t = 1 with the full signal energy (zero initial estimate).
-A coordinate whose geometric ratio is within 1e-13 of 1 sums to t; within
-1e-3 of 1 its partial sums come from expm1 and log1p, which do not cancel.
+Within 1e-3 of 1, a coordinate's partial sums come from expm1 and log1p,
+which do not cancel; only a ratio of exactly 1 sums to t.
 """
 
 from dataclasses import dataclass
@@ -58,7 +58,7 @@ def _geometric_blocks(base: np.ndarray, t_max: int):
     (t0, powers, sums) blocks of _BLOCK columns.
 
     Within _NEAR_ONE of 1, a sum is -expm1(t log1p(-eps)) / eps, eps = 1 - base,
-    which keeps full accuracy as base -> 1.
+    which keeps full accuracy as base -> 1; only base == 1 sums to t.
 
     Each block starts from the last power times base, the product one cumprod
     over every t would take. A vector-matrix product of fewer than 4 columns
@@ -66,7 +66,7 @@ def _geometric_blocks(base: np.ndarray, t_max: int):
     curves are then bit-identical to one unblocked evaluation.
     """
     eps = 1.0 - base
-    flat = np.abs(eps) < 1e-13
+    flat = eps == 0
     near = ~flat & (np.abs(eps) < _NEAR_ONE)
     log_base = np.log1p(-eps[near])[:, None]
     first = np.ones(base.shape[0])  # base^t0

@@ -1,7 +1,8 @@
 """The benchmark's contract with the package: perfbench/run.py reads the
-last line of standard output as a strict-JSON result, its tracer finds
-every function it reports by name, and its copy of the reference grid
-agrees with gspest.reference_grid. Only reads perfbench/."""
+last line of standard output of every BENCHMARK.json workload as a
+strict-JSON result, its tracer finds every function it reports by name, and
+its copy of the reference grid agrees with gspest.reference_grid. Only
+reads perfbench/ and BENCHMARK.json."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import math
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from gspest import SCENARIOS, reference_grid
 
@@ -22,14 +25,21 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON token {token}")
 
 
-def test_traced_tiny_run_ends_with_a_strict_json_result():
+WORKLOADS = [workload["name"] for workload in
+             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+# sampling-sweep runs gspest run through cli.main and keeps each row's result
+# by replacing gspest.cli.run_experiment, so cli must look it up there
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_tiny_run_ends_with_a_strict_json_result(workload):
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "grid299", "--size", "tiny",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--size", "tiny",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
-    assert result["correct"] is True
+    assert result["correct"] is True and result["failed"] == 0
     values = {name: m["value"] for name, m in result["metrics"].items()}
     bad = {name: v for name, v in values.items()
            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)}

@@ -1,8 +1,9 @@
 """Package hygiene: no module imports a name it never uses, every exported
 name resolves and has a caller outside the tests, only estimators.py
 branches on an estimator's name, only harness.py lists the config's fields,
-only io.py's one reader or writer per format calls csv or json, and no
-constructor freezes its caller's arrays."""
+only io.py's one reader or writer per format calls csv or json, no
+constructor freezes its caller's arrays, one cli function writes a row's
+CSV and manifest, and the version has one source."""
 
 import ast
 import dataclasses
@@ -49,6 +50,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in gspest.__all__ if not hasattr(gspest, name)]
     assert missing == []
     assert len(set(gspest.__all__)) == len(gspest.__all__)
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version gspest --version and every manifest report
+    pyproject = ROOT / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("no pyproject.toml beside the tests")
+    tomllib = pytest.importorskip("tomllib")
+    data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in data["project"] and data["project"]["dynamic"] == ["version"]
+    assert data["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "gspest._version.__version__"}
 
 
 def names_referenced_outside_tests() -> set[str]:
@@ -122,6 +135,29 @@ def test_checker_flags_a_config_field_list():
     source = ('a = ("algorithm", "param", "k")\nb = ["runs", "k", 3]\n'
               'c = {"runs", "k", "iterations", "x"}\nd = f(runs=1, k=2, param=3)\n')
     assert config_field_lists(source) == ["line 1", "line 3"]
+
+
+def row_writer_calls(paths) -> list[str]:
+    """Each call of write_results_csv, build_manifest or write_manifest in the
+    files, as "<file>:<enclosing top-level function>:<name>"."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("write_results_csv", "build_manifest", "write_manifest"):
+                    found.append(f"{path.name}:{getattr(top, 'name', '')}:{name}")
+    return found
+
+
+def test_one_function_runs_and_writes_a_row():
+    # gspest run and the reference script write a row's CSV and manifest
+    # through cli.run_row alone, so both follow one set of output rules
+    assert sorted(row_writer_calls(MODULES + sorted((ROOT / "scripts").glob("*.py")))) == [
+        "cli.py:run_row:build_manifest", "cli.py:run_row:write_manifest",
+        "cli.py:run_row:write_results_csv"]
 
 
 # each file-format call and the one function in io.py allowed to make it

@@ -2,7 +2,8 @@
 end on a reduced grid and writes one results CSV and manifest per row, and
 each manifest's config reruns its row's CSV from any working directory.
 Both scripts exit with gspest's codes, without a traceback, before they
-write anything."""
+write anything, and the reference script claims every row's outputs as
+gspest run does before it builds a graph."""
 
 import json
 import os
@@ -29,9 +30,12 @@ def run_script(cwd, script, *args):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
+REDUCED = ("--runs", "2", "--scenarios", "iii", "--algorithms", "rls")
+
+
 def run_reference_cases(tmp_path, *args):
-    proc = run_script(tmp_path, "run_reference_cases.py", "--runs", "2", "--scenarios", "iii",
-                      "--algorithms", "rls", "--out-dir", str(tmp_path), *args)
+    proc = run_script(tmp_path, "run_reference_cases.py", *REDUCED, "--out-dir", str(tmp_path),
+                      *args)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -100,3 +104,31 @@ def test_station_count_limits_checked_before_writing(tmp_path):
     assert "bandwidth (200) must be at most n (50)" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s50.csv"]
+
+
+def assert_refused_before_any_row(proc, message, out_dir, left):
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # every row's CSV and manifest is claimed before a graph is built
+    assert sorted(p.name for p in out_dir.iterdir()) == left
+
+
+def test_row_path_that_cannot_be_written_fails_before_any_row(tmp_path):
+    (tmp_path / "out" / "rls_case2_iii_p0.55.csv").mkdir(parents=True)
+    proc = run_script(tmp_path, "run_reference_cases.py", *REDUCED, "--out-dir", "out")
+    assert_refused_before_any_row(proc, "Is a directory: out/rls_case2_iii_p0.55.csv",
+                                  tmp_path / "out", ["rls_case2_iii_p0.55.csv"])
+
+
+def test_row_path_that_is_the_station_file_is_refused(tmp_path):
+    stations = tmp_path / "out" / "rls_case1_iii_p0.61.csv"
+    stations.parent.mkdir()
+    gio.write_station_csv(stations, synthetic_stations(299, 7))
+    table = stations.read_bytes()
+    proc = run_script(tmp_path, "run_reference_cases.py", *REDUCED, "--out-dir", "out",
+                      "--stations", str(stations))
+    assert_refused_before_any_row(
+        proc, f"row out/rls_case1_iii_p0.61.csv is the same file as --stations {stations}",
+        tmp_path / "out", ["rls_case1_iii_p0.61.csv"])
+    assert stations.read_bytes() == table

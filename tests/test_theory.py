@@ -418,7 +418,8 @@ class TestNearOne:
     """The partial sums (1 - b^t) / (1 - b) cancel as b -> 1; the noise term
     of the exact mode must still hold 1e-12 relative against 50-digit sums."""
 
-    @pytest.mark.parametrize("algorithm, param", [("lms", 1e-7), ("rls", 1 - 1e-8)])
+    @pytest.mark.parametrize("algorithm, param", [("lms", 1e-7), ("rls", 1 - 1e-8),
+                                                  ("lms", 1e-14), ("rls", 1 - 1e-14)])
     def test_noise_term_against_mpmath(self, setup10, algorithm, param):
         mpmath = pytest.importorskip("mpmath")
         rec = setup10.recursion(algorithm, param)
