@@ -15,6 +15,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -109,17 +110,26 @@ class SignalModel:
         m_mat = np.linalg.solve(m_inv, np.eye(self.f))
         return (m_mat + m_mat.T) / 2
 
+    @cached_property
+    def _built(self) -> dict:  # the last recursion built: (algorithm, param) -> it
+        return {}
+
     def recursion(self, algorithm: str, param: float) -> ErrorRecursion:
         """Error recursion of ESTIMATORS[algorithm] at param from s_hat = 0,
-        after the checks its record asks for; each call builds a new one with
-        read-only arrays."""
+        after the checks its record asks for, which every call makes. Its
+        arrays are read-only, so the model keeps the last one built and
+        returns it again for the same (algorithm, param)."""
         self.require_recoverable()
         est = estimator(algorithm)
         if error := est.param_error(param):
             raise ValueError(error)
         if est.positive_noise and np.any(self.noise.c_w <= 0):
             raise ValueError(f"{algorithm} weighting needs strictly positive noise variances")
-        return est.build(self, param)
+        key = (algorithm, param)
+        if key not in self._built:
+            self._built.clear()
+            self._built[key] = est.build(self, param)
+        return self._built[key]
 
 
 def _lms_recursion(model: SignalModel, mu: float) -> ErrorRecursion:  # Gram eigenbasis V
@@ -231,9 +241,10 @@ def _schedule(n_runs: int, n_iter: int, m: int) -> tuple[int, int, int, bool]:
     isqrt(n_iter - 1)). A tile takes _TILE_ROWS // (runs per chunk) steps of
     a chunk, at most n_iter - 1. A row splits when it has two chunks or more,
     each draws at least _LANE_MIN_DRAWS normals per step and OpenBLAS's thread
-    count can be set: then every product runs at one BLAS thread, on one lane
-    per usable CPU, at most one per chunk, each taking whole chunks. Any other
-    row runs on one lane at the caller's thread count.
+    count can be set: then its Monte Carlo runs on one lane per usable CPU,
+    at most one per chunk, each taking whole chunks, and the row holds
+    OpenBLAS at one thread (_row_blas) from its sampling set to its last
+    curve. Any other row runs on one lane at the caller's thread count.
 
     The side follows T so that short rows stay whole: with a fixed side of 32
     the grid's RLS rows (50 runs, T = 200) split into 2 lanes of 25 runs at
@@ -250,6 +261,28 @@ def _schedule(n_runs: int, n_iter: int, m: int) -> tuple[int, int, int, bool]:
 def _mc_lanes(n_runs: int, n_iter: int, m: int, frozen_noise: bool) -> int:
     """Lanes the Monte Carlo of a row splits its runs into (_schedule); 1 with frozen noise."""
     return 1 if frozen_noise else _schedule(n_runs, n_iter, m)[2]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; the count before comes back on exit, also after an error."""
+    get_threads, set_threads = _openblas()
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _row_blas(n_runs: int, n_iter: int, m: int, frozen_noise: bool):
+    """The BLAS hold of a row: _one_blas_thread when its Monte Carlo splits
+    (_schedule), nothing otherwise. After a threaded call the OpenBLAS worker
+    spins for about 0.13 s (OpenBLAS 0.3.31, 2 vCPUs) on the CPU a second
+    lane needs, so a row that splits makes no threaded call once its
+    sampling set is chosen."""
+    split = not frozen_noise and _schedule(n_runs, n_iter, m)[3]
+    return _one_blas_thread() if split else nullcontext()
 
 
 def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.random.Generator],
@@ -296,9 +329,10 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
 
     Otherwise the runs go in the chunks and tiles of _schedule, one matrix
     product per tile, so a tile's memory is bounded whatever n_iter is. A row
-    that splits holds OpenBLAS at one thread (restored afterwards, also on an
-    error) and runs lane 0 in the calling thread and each other lane in its
-    own thread; the calling thread allocates every lane's buffers. A run's
+    that splits holds OpenBLAS at one thread (_one_blas_thread, the hold that
+    run_experiment opens through _row_blas once the sampling set is chosen)
+    and runs lane 0 in the calling thread and each other lane in its own
+    thread; the calling thread allocates every lane's buffers. A run's
     products have the same shapes and thread count on any lane count, so its
     curve does not depend on the lane count.
     """
@@ -335,20 +369,17 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
-    get_threads, set_threads = _openblas()
-    before = get_threads()
-    set_threads(1)  # on any lane count, so a run's products round alike
     started = []
-    try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=lane, args=(job,))
-            thread.start()
-            started.append(thread)
-        lane(jobs[0])
-    finally:
-        for thread in started:
-            thread.join()
-        set_threads(before)
+    with _one_blas_thread():  # on any lane count, so a run's products round alike
+        try:
+            for job in jobs[1:]:
+                thread = threading.Thread(target=lane, args=(job,))
+                thread.start()
+                started.append(thread)
+            lane(jobs[0])
+        finally:
+            for thread in started:
+                thread.join()
     if errors:
         raise errors[0]
     return vals

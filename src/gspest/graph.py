@@ -210,10 +210,18 @@ def gft_basis(lap: np.ndarray) -> GftBasis:
 
 
 def band_select(basis: GftBasis, f: int) -> BandBasis:
-    """Keep the first f (lowest-frequency) basis vectors."""
+    """Keep the first f (lowest-frequency) basis vectors.
+
+    GftBasis checked that its columns are orthonormal, so BandBasis's check
+    is not made again: its threaded product would leave OpenBLAS's worker
+    spinning (about 0.13 s) under the Monte Carlo lanes of the row after it.
+    """
     if not 1 <= f <= basis.n:
         raise ValueError(f"bandwidth must satisfy 1 <= f <= {basis.n}, got {f}")
-    return BandBasis(f=f, u_f=basis.vectors[:, :f])
+    band = object.__new__(BandBasis)  # without __post_init__, see above
+    object.__setattr__(band, "f", f)
+    object.__setattr__(band, "u_f", basis.vectors[:, :f])  # a read-only view
+    return band
 
 
 def project_bandlimited(band: BandBasis, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

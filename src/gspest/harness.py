@@ -21,10 +21,10 @@ import numpy as np
 
 from . import estimators, theory
 from .estimators import ErrorRecursion, SignalModel, estimator
-from .graph import (StationTable, band_select, build_knn_graph, gft_basis,
+from .graph import (BandBasis, StationTable, band_select, build_knn_graph, gft_basis,
                     laplacian, project_bandlimited)
 from .noise import build_cw, scenario_coefficients
-from .sampling import greedy_max_lambda_min, random_sampling
+from .sampling import SamplingSet, greedy_max_lambda_min, random_sampling
 from .theory import TheoryCurve, limits
 
 _COV_KEY = 1
@@ -214,6 +214,12 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
     cached eigendecomposition of the graph Laplacian, in which case the
     k-NN graph is not rebuilt.
     """
+    return _signal_model(config, *_sampled_band(config, stations, basis))
+
+
+def _sampled_band(config: ExperimentConfig, stations: StationTable | None,
+                  basis) -> tuple[StationTable, BandBasis, SamplingSet]:
+    """The station table, band and sampling set of prepare_experiment."""
     if stations is None:
         if config.stations_csv is not None:
             raise ValueError("stations_csv is set; load the table and pass it in")
@@ -229,6 +235,13 @@ def prepare_experiment(config: ExperimentConfig, stations: StationTable | None =
         sampling = greedy_max_lambda_min(band, config.sample_size)
     else:
         sampling = random_sampling(band, config.sample_size, sampling_seed(config.master_seed))
+    return stations, band, sampling
+
+
+def _signal_model(config: ExperimentConfig, stations: StationTable, band: BandBasis,
+                  sampling: SamplingSet) -> SignalModel:
+    """The model of prepare_experiment on a chosen sampling set: noise law,
+    target signal and the check that the set recovers the band."""
     noise = build_cw(*config.scenario_pair(), stations.n, covariance_seed(config.master_seed))
     s_f, _ = project_bandlimited(band, stations.signal)
     model = SignalModel(band=band, s_f=s_f, sampling=sampling, noise=noise)
@@ -369,36 +382,44 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
 
     Per-run noise comes from child seeds of (master_seed, run index), so the
     result is bit-identical for a given config; runs are reduced in
-    ascending index order.
+    ascending index order. The graph basis and the sampling set run at the
+    caller's BLAS thread count. A row whose Monte Carlo splits
+    (estimators._schedule) then holds OpenBLAS at one thread, restored
+    afterwards also on an error, from its model to its last curve: the
+    Gram eigendecomposition, the RLS gain, the recursion, both theory
+    curves, the Monte Carlo and the limit diagnostics.
     """
     started = time.perf_counter()
-    blas_threads = estimators._blas_threads()  # what the eigendecompositions run on
-    model = prepare_experiment(config, stations, basis)
-    prepared = time.perf_counter()
+    blas_threads = estimators._blas_threads()  # what the graph basis and the sampling set run on
+    stations, band, sampling = _sampled_band(config, stations, basis)
     t_count, n_runs = config.iterations, config.runs
     frozen = config.noise_protocol == "frozen"
-    theory_paper, theory_exact = theory_curves(config, model)
-    predicted = time.perf_counter()
-    trajectory = getattr(estimators, f"{config.algorithm}_msd_trajectory")  # traced, as above
-    per_run = trajectory(model, config.param, t_count,
-                         [run_rng(config.master_seed, r) for r in range(n_runs)],
-                         frozen_noise=frozen)
-    msd_mean = per_run.mean(axis=0)
-    if n_runs > 1:
-        msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
-    else:
-        msd_se = np.full(t_count, np.nan)
-    simulated = time.perf_counter()
+    with estimators._row_blas(n_runs, t_count, sampling.size, frozen):
+        model = _signal_model(config, stations, band, sampling)
+        prepared = time.perf_counter()
+        theory_paper, theory_exact = theory_curves(config, model)
+        predicted = time.perf_counter()
+        trajectory = getattr(estimators, f"{config.algorithm}_msd_trajectory")  # traced, as above
+        per_run = trajectory(model, config.param, t_count,
+                             [run_rng(config.master_seed, r) for r in range(n_runs)],
+                             frozen_noise=frozen)
+        msd_mean = per_run.mean(axis=0)
+        if n_runs > 1:
+            msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
+        else:
+            msd_se = np.full(t_count, np.nan)
+        simulated = time.perf_counter()
+        diagnostics = _limit_diagnostics(model.recursion(config.algorithm, config.param))
     metadata = {
         "sampling_indices": list(model.sampling.indices),
         "lambda_min": model.lam_min,
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
         "blas_threads": blas_threads,  # None when it cannot be read
-        "mc_lanes": estimators._mc_lanes(n_runs, t_count, len(model.sampling.indices), frozen),
+        "mc_lanes": estimators._mc_lanes(n_runs, t_count, sampling.size, frozen),
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
+        **diagnostics,
     }
-    metadata.update(_limit_diagnostics(model.recursion(config.algorithm, config.param)))
     est = estimator(config.algorithm)
     bound = est.stability_bound(model) if est.stability_bound is not None else None
     metadata["mu_max"] = bound  # the manifest's name for the bound; None without one

@@ -218,6 +218,19 @@ class TestBandProjection:
         assert_allclose(s2, s_f, rtol=0, atol=1e-9 * (1 + np.max(np.abs(s_f))))
         assert x_o @ x_o <= x @ x + 1e-9
 
+    def test_band_select_keeps_the_checked_columns_without_a_second_check(
+            self, stations10, monkeypatch):
+        basis = gft_basis(laplacian(build_knn_graph(stations10, 3)))
+
+        def refuse(band):
+            raise AssertionError("the band's columns were checked again")
+
+        monkeypatch.setattr(BandBasis, "__post_init__", refuse)
+        band = band_select(basis, 4)
+        assert band.f == 4 and band.n == 10
+        assert_array_equal(band.u_f, basis.vectors[:, :4])
+        assert not band.u_f.flags.writeable
+
     def test_band_basis_rejects_nonorthonormal(self):
         with pytest.raises(ValueError):
             BandBasis(f=1, u_f=np.array([[0.5], [0.5]]))

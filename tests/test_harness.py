@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gspest import (ConfigError, ExperimentConfig, build_knn_graph, compare, gft_basis,
                     laplacian, prepare_experiment, project_bandlimited, run_experiment)
-from gspest import estimators, harness, theory
+from gspest import estimators, harness, sampling, theory
 from gspest.harness import (
     covariance_seed,
     run_rng,
@@ -298,6 +298,123 @@ class TestRunExperiment:
         assert res.metadata["sampling_indices"] == list(setup10.sampling.indices)
         assert counts["eig"] == 1
         assert counts["solve"] <= 1
+
+
+    @pytest.mark.parametrize("algorithm, param", [("lms", 0.5), ("rls", 0.7)])
+    def test_one_recursion_build_per_row(self, monkeypatch, algorithm, param):
+        # both theory modes, the trajectory and the limit diagnostics share it
+        record, built = estimators.ESTIMATORS[algorithm], []
+
+        def build(model, value):
+            built.append(value)
+            return record.build(model, value)
+
+        monkeypatch.setitem(estimators.ESTIMATORS, algorithm, replace(record, build=build))
+        run_experiment(config(algorithm=algorithm, param=param))
+        assert built == [param]
+
+
+class RecordingStream:
+    """A run stream that records the BLAS thread count at each draw, then
+    draws from rng, or fails when told to."""
+
+    def __init__(self, seen, rng, fail=False):
+        self.seen, self.rng, self.fail = seen, rng, fail
+
+    def standard_normal(self, out):
+        self.seen.append(("draw", estimators._blas_threads()))
+        if self.fail:
+            raise RuntimeError("this lane failed")
+        return self.rng.standard_normal(out=out)
+
+
+@pytest.mark.skipif(estimators._openblas() is None, reason="no OpenBLAS thread control found")
+class TestRowBlasHold:
+    """A row whose Monte Carlo splits holds OpenBLAS at one thread from its
+    sampling set to its last curve; the graph basis and the set run at the
+    caller's count, which comes back after the row, also when it raises. On
+    10 stations (m = 6) a gate of 150 draws splits the grid's LMS shape (50
+    runs x 1000 steps: 2 chunks of 25 x 6 = 150 draws) and not its RLS shape
+    (50 x 200: chunks of 13 x 6 = 78)."""
+
+    SPLIT = dict(algorithm="lms", param=0.5, runs=50, iterations=1000)
+    ONE_LANE = dict(algorithm="rls", param=0.7, runs=50, iterations=200)
+
+    @pytest.fixture(autouse=True)
+    def two_threads_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimators, "_LANE_MIN_DRAWS", 150)
+        get_threads, set_threads = estimators._openblas()
+        before = get_threads()
+        set_threads(2)  # the caller's count
+        yield
+        set_threads(before)
+
+    @staticmethod
+    def record(monkeypatch, fail=None):
+        """(stage, BLAS thread count) at a cold greedy selection, the model's
+        Gram, each theory curve, each draw and the limit diagnostics; fail
+        names a stage that raises, or "lane-1" for the last run's stream."""
+        seen = []
+
+        def wrap(module, name, stage):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((stage, estimators._blas_threads()))
+                if stage == fail:
+                    raise RuntimeError(f"{stage} failed")
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        monkeypatch.setattr(sampling, "_greedy_memo", {})  # a cold selection
+        wrap(sampling, "_greedy_select", "greedy")
+        wrap(estimators, "sampled_gram", "gram")
+        for name in TestLayerEntryPoints.NAMES[2:]:
+            wrap(theory, name, "theory")
+        wrap(harness, "_limit_diagnostics", "limits")
+        monkeypatch.setattr(harness, "run_rng", lambda seed, r: RecordingStream(
+            seen, run_rng(seed, r), fail == "lane-1" and r == 49))
+        return seen
+
+    @staticmethod
+    def counts(seen) -> dict:
+        return {stage: {count for name, count in seen if name == stage}
+                for stage in dict.fromkeys(name for name, _ in seen)}
+
+    def test_theory_curves_and_streams_of_a_split_row_run_at_one_thread(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        res = run_experiment(config(**self.SPLIT))
+        assert res.metadata["mc_lanes"] == 2
+        counts = self.counts(seen)
+        assert counts["theory"] == counts["draw"] == counts["limits"] == {1}
+        assert [name for name, _ in seen].count("theory") == 2
+
+    def test_cold_greedy_set_runs_at_the_callers_count(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        res = run_experiment(config(**self.SPLIT))
+        assert seen[0] == ("greedy", 2)
+        assert self.counts(seen)["gram"] == {1}  # the model's Gram, after the set
+        assert res.metadata["blas_threads"] == 2
+
+    @pytest.mark.parametrize("fail", [None, "theory", "lane-1"])
+    def test_callers_count_comes_back_after_the_row(self, monkeypatch, fail):
+        seen = self.record(monkeypatch, fail)
+        if fail is None:
+            run_experiment(config(**self.SPLIT))
+        else:
+            with pytest.raises(RuntimeError, match="failed"):
+                run_experiment(config(**self.SPLIT))
+        assert estimators._blas_threads() == 2
+        assert self.counts(seen)["theory"] == {1}
+
+    def test_row_that_does_not_split_keeps_the_callers_count(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        res = run_experiment(config(**self.ONE_LANE))
+        assert res.metadata["mc_lanes"] == 1
+        assert self.counts(seen) == dict.fromkeys(
+            ("greedy", "gram", "theory", "draw", "limits"), {2})
+        assert estimators._blas_threads() == 2
 
 
 class TestLayerEntryPoints:

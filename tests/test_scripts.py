@@ -3,7 +3,8 @@ end on a reduced grid and writes one results CSV and manifest per row, and
 each manifest's config reruns its row's CSV from any working directory.
 Both scripts exit with gspest's codes, without a traceback, before they
 write anything, and the reference script claims every row's outputs as
-gspest run does before it builds a graph."""
+gspest run does before it builds a graph. A row whose Monte Carlo splits
+writes the same CSV under any OPENBLAS_NUM_THREADS."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 import gspest
+from gspest import build_knn_graph, estimators, gft_basis, laplacian
 from gspest import io as gio
 from gspest.cli import main
 from gspest.harness import synthetic_stations
@@ -21,13 +23,17 @@ from gspest.harness import synthetic_stations
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_script(cwd, script, *args):
-    env = dict(os.environ)
+def run_python(cwd, *args, **env_overrides):
+    env = {**os.environ, **env_overrides}
     src = str(pathlib.Path(gspest.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd, env=env,
+        [sys.executable, *args], cwd=cwd, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def run_script(cwd, script, *args):
+    return run_python(cwd, str(ROOT / "scripts" / script), *args)
 
 
 REDUCED = ("--runs", "2", "--scenarios", "iii", "--algorithms", "rls")
@@ -132,3 +138,27 @@ def test_row_path_that_is_the_station_file_is_refused(tmp_path):
         proc, f"row out/rls_case1_iii_p0.61.csv is the same file as --stations {stations}",
         tmp_path / "out", ["rls_case1_iii_p0.61.csv"])
     assert stations.read_bytes() == table
+
+
+@pytest.mark.skipif(estimators._openblas() is None, reason="no OpenBLAS thread control found")
+def test_split_row_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 64 runs x 1025 steps: 2 chunks of 32 runs, 32 x 130 = 4160 draws per
+    # step, so the row splits and holds one BLAS thread from its set on; a
+    # random set and one cached basis leave the sampling nothing to move
+    assert estimators._schedule(64, 1025, 130)[3]
+    config = {"algorithm": "lms", "param": 0.5, "k": 6, "bandwidth": 20, "sample_size": 130,
+              "scenario": "iii", "iterations": 1025, "runs": 64, "master_seed": 42,
+              "sampling_strategy": "random", "n_stations": 150}
+    (tmp_path / "row.json").write_text(json.dumps(config))
+    stations = synthetic_stations(150, 2018)
+    gio.save_graph_cache(tmp_path / "cache", stations, 6,
+                         gft_basis(laplacian(build_knn_graph(stations, 6))))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = run_python(tmp_path, "-m", "gspest.cli", "run", "row.json", "--out", str(out),
+                          "--cache-dir", "cache", OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert gio.read_manifest(str(out) + ".manifest.json")["mc_lanes"] >= 1
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]

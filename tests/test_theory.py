@@ -441,6 +441,17 @@ class TestErrorRecursion:
         with pytest.raises(ValueError, match="forgetting factor"):
             setup10.recursion("rls", lam)
 
+    def test_refused_on_every_call_next_to_a_kept_one(self, setup10):
+        quiet = replace(setup10, noise=NoiseModel(c_w=np.zeros(setup10.n)))
+        for model, algorithm, param, message in (
+                (setup10, "lms", -0.1, "must be finite and satisfy"),
+                (setup10, "rls", 1.5, "must be finite and satisfy"),
+                (quiet, "rls", 0.5, "strictly positive noise")):
+            model.recursion("lms", 0.5)  # a kept recursion next to the refused one
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    model.recursion(algorithm, param)
+
     def test_rejects_unknown_algorithm(self, setup10):
         with pytest.raises(ValueError, match="algorithm"):
             setup10.recursion("nlms", 0.5)
@@ -453,9 +464,11 @@ class TestErrorRecursion:
         with pytest.raises(ValueError, match="step size must be finite"):
             lms_msd_trajectory(model, mu, 5, [np.random.default_rng(0)])
 
-    def test_built_per_call_and_read_only(self, setup10):
+    def test_last_one_kept_and_read_only(self, setup10):
         rec = setup10.recursion("rls", 0.7)
-        again = setup10.recursion("rls", 0.7)
+        assert setup10.recursion("rls", 0.7) is rec  # kept for the same parameter
+        assert setup10.recursion("rls", 0.8).step == pytest.approx(0.2)
+        again = setup10.recursion("rls", 0.7)  # the model keeps the last one only
         assert again is not rec
         assert again.step == rec.step
         for name in ("decay", "response", "delta0", "c_s"):
