@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -152,6 +153,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@cache  # once per process: a sampling sweep calls main once per row
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gspest",

@@ -15,7 +15,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -232,57 +232,61 @@ def _blas_threads() -> int | None:
     return None if control is None else int(control[0]())
 
 
-def _schedule(n_runs: int, n_iter: int, m: int) -> tuple[int, int, int, bool]:
-    """(runs per chunk, steps per tile, lanes, whether OpenBLAS is held at one
-    thread) of a row with redrawn noise, from its shape and the usable CPUs.
+@dataclass(frozen=True)
+class RowSchedule:
+    """How a row's Monte Carlo runs; see row_schedule."""
+
+    chunk: int  # runs per chunk
+    steps: int  # steps per tile
+    lanes: int
+    hold: bool  # OpenBLAS held at one thread
+
+    @contextmanager
+    def blas_hold(self):
+        """The row's BLAS hold: OpenBLAS at one thread when the row holds, and
+        the count before back on exit, also after an error; nothing otherwise.
+        Yields the caller's count, None when it cannot be read."""
+        before = _blas_threads()
+        if not self.hold:
+            yield before
+            return
+        set_threads = _openblas()[1]
+        set_threads(1)
+        try:
+            yield before
+        finally:
+            set_threads(before)
+
+
+def row_schedule(n_runs: int, n_iter: int, m: int, frozen_noise: bool) -> RowSchedule:
+    """The Monte Carlo schedule of a row of n_runs runs of n_iter steps on m
+    sampled nodes, from its shape, its noise protocol and the usable CPUs.
 
     The runs go in ceil(n_runs / side) contiguous chunks of ceil(n_runs /
     chunks) runs, the last may hold fewer, side = min(_MAX_TILE_SIDE,
     isqrt(n_iter - 1)). A tile takes _TILE_ROWS // (runs per chunk) steps of
-    a chunk, at most n_iter - 1. A row splits when it has two chunks or more,
-    each draws at least _LANE_MIN_DRAWS normals per step and OpenBLAS's thread
-    count can be set: then its Monte Carlo runs on one lane per usable CPU,
-    at most one per chunk, each taking whole chunks, and the row holds
-    OpenBLAS at one thread (_row_blas) from its sampling set to its last
-    curve. Any other row runs on one lane at the caller's thread count.
+    a chunk, at most n_iter - 1. A row with redrawn noise splits when it has
+    two chunks or more, each draws at least _LANE_MIN_DRAWS normals per step
+    and OpenBLAS's thread count can be set: then its Monte Carlo runs on one
+    lane per usable CPU, at most one per chunk, each taking whole chunks, and
+    the row holds OpenBLAS at one thread (blas_hold), even on one lane, from
+    its sampling set to its last curve. Any other row, every frozen-noise row
+    included (it draws once), runs on one lane at the caller's thread count.
 
-    The side follows T so that short rows stay whole: with a fixed side of 32
-    the grid's RLS rows (50 runs, T = 200) split into 2 lanes of 25 runs at
-    one BLAS thread and ran slower: 62-71 ms per row against 54-62 ms, on 2 vCPUs.
+    After a threaded call the OpenBLAS worker spins for about 0.13 s
+    (OpenBLAS 0.3.31, 2 vCPUs) on the CPU a second lane needs, so a row that
+    splits makes no threaded call once its sampling set is chosen. The side
+    follows T so that short rows stay whole: with a fixed side of 32 the
+    grid's RLS rows (50 runs, T = 200) split into 2 lanes of 25 runs at one
+    BLAS thread and ran slower: 62-71 ms per row against 54-62 ms, on 2 vCPUs.
     """
     side = max(1, min(_MAX_TILE_SIDE, math.isqrt(n_iter - 1)))
     chunks = max(1, -(-n_runs // side))
     chunk = max(1, -(-n_runs // chunks))
-    split = n_iter > 1 and chunks > 1 and chunk * m >= _LANE_MIN_DRAWS and _openblas() is not None
-    lanes = min(_usable_cpus(), chunks) if split else 1
-    return chunk, max(1, min(n_iter - 1, _TILE_ROWS // chunk)), lanes, split
-
-
-def _mc_lanes(n_runs: int, n_iter: int, m: int, frozen_noise: bool) -> int:
-    """Lanes the Monte Carlo of a row splits its runs into (_schedule); 1 with frozen noise."""
-    return 1 if frozen_noise else _schedule(n_runs, n_iter, m)[2]
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread; the count before comes back on exit, also after an error."""
-    get_threads, set_threads = _openblas()
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
-def _row_blas(n_runs: int, n_iter: int, m: int, frozen_noise: bool):
-    """The BLAS hold of a row: _one_blas_thread when its Monte Carlo splits
-    (_schedule), nothing otherwise. After a threaded call the OpenBLAS worker
-    spins for about 0.13 s (OpenBLAS 0.3.31, 2 vCPUs) on the CPU a second
-    lane needs, so a row that splits makes no threaded call once its
-    sampling set is chosen."""
-    split = not frozen_noise and _schedule(n_runs, n_iter, m)[3]
-    return _one_blas_thread() if split else nullcontext()
+    hold = (not frozen_noise and n_iter > 1 and chunks > 1 and chunk * m >= _LANE_MIN_DRAWS
+            and _openblas() is not None)
+    return RowSchedule(chunk=chunk, steps=max(1, min(n_iter - 1, _TILE_ROWS // chunk)),
+                       lanes=min(_usable_cpus(), chunks) if hold else 1, hold=hold)
 
 
 def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.random.Generator],
@@ -327,14 +331,12 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     sqrt(c_s) scaling folds into one (m, f) noise map. With frozen noise each
     run draws one block of m, whose (runs, f) term enters every step.
 
-    Otherwise the runs go in the chunks and tiles of _schedule, one matrix
-    product per tile, so a tile's memory is bounded whatever n_iter is. A row
-    that splits holds OpenBLAS at one thread (_one_blas_thread, the hold that
-    run_experiment opens through _row_blas once the sampling set is chosen)
-    and runs lane 0 in the calling thread and each other lane in its own
-    thread; the calling thread allocates every lane's buffers. A run's
-    products have the same shapes and thread count on any lane count, so its
-    curve does not depend on the lane count.
+    Otherwise the runs go in the chunks, tiles and lanes of row_schedule,
+    under its BLAS hold, one matrix product per tile, so a tile's memory is
+    bounded whatever n_iter is. Lane 0 runs in the calling thread and each
+    other lane in its own thread; the calling thread allocates every lane's
+    buffers. A run's products have the same shapes and thread count on any
+    lane count, so its curve does not depend on the lane count.
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
@@ -352,15 +354,13 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
             delta = rec.decay * delta + inject
             vals[:, t] = np.einsum("rf,rf->r", delta, delta)
         return vals
-    chunk, steps, lanes, split = _schedule(n_runs, n_iter, m)
+    schedule = row_schedule(n_runs, n_iter, m, frozen_noise)
+    chunk, steps, lanes = schedule.chunk, schedule.steps, schedule.lanes
     chunks = -(-n_runs // chunk)
     bounds = [chunk * (i * chunks // lanes) for i in range(lanes + 1)]
     jobs = [(rngs[a:b], vals[a:b], chunk, steps, np.empty(chunk * steps * m),
              np.empty(chunk * steps * model.f), np.empty((chunk, model.f)))
             for a, b in zip(bounds, bounds[1:])]
-    if not split:
-        _tile_loop(rec, noise_map, *jobs[0])
-        return vals
     errors = []
 
     def lane(job):
@@ -370,7 +370,7 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
             errors.append(exc)
 
     started = []
-    with _one_blas_thread():  # on any lane count, so a run's products round alike
+    with schedule.blas_hold():  # on any lane count, so a run's products round alike
         try:
             for job in jobs[1:]:
                 thread = threading.Thread(target=lane, args=(job,))

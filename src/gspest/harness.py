@@ -383,18 +383,15 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
     Per-run noise comes from child seeds of (master_seed, run index), so the
     result is bit-identical for a given config; runs are reduced in
     ascending index order. The graph basis and the sampling set run at the
-    caller's BLAS thread count. A row whose Monte Carlo splits
-    (estimators._schedule) then holds OpenBLAS at one thread, restored
-    afterwards also on an error, from its model to its last curve: the
-    Gram eigendecomposition, the RLS gain, the recursion, both theory
-    curves, the Monte Carlo and the limit diagnostics.
+    caller's BLAS thread count; the rest of the row, from its model to its
+    last curve, runs under the BLAS hold of estimators.row_schedule.
     """
     started = time.perf_counter()
-    blas_threads = estimators._blas_threads()  # what the graph basis and the sampling set run on
-    stations, band, sampling = _sampled_band(config, stations, basis)
     t_count, n_runs = config.iterations, config.runs
     frozen = config.noise_protocol == "frozen"
-    with estimators._row_blas(n_runs, t_count, sampling.size, frozen):
+    schedule = estimators.row_schedule(n_runs, t_count, config.sample_size, frozen)
+    stations, band, sampling = _sampled_band(config, stations, basis)
+    with schedule.blas_hold() as blas_threads:  # what the graph basis and the set ran on
         model = _signal_model(config, stations, band, sampling)
         prepared = time.perf_counter()
         theory_paper, theory_exact = theory_curves(config, model)
@@ -415,7 +412,7 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         "lambda_min": model.lam_min,
         "cw_digest": hashlib.sha256(np.ascontiguousarray(model.noise.c_w).tobytes()).hexdigest(),
         "blas_threads": blas_threads,  # None when it cannot be read
-        "mc_lanes": estimators._mc_lanes(n_runs, t_count, sampling.size, frozen),
+        "mc_lanes": schedule.lanes,
         "stages": {"prepare": prepared - started, "theory": predicted - prepared,
                    "simulate": simulated - predicted},  # wall seconds
         **diagnostics,

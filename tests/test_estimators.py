@@ -370,7 +370,7 @@ class TestLanes:
         curves = {}
         for count in (1, 2, 3):
             self.lanes(monkeypatch, count)
-            lanes = estimators._mc_lanes(n_runs, n_iter, setup10.sampling.size, False)
+            lanes = estimators.row_schedule(n_runs, n_iter, setup10.sampling.size, False).lanes
             assert lanes == min(count, chunks)
             curves[count] = trajectory(setup10, param, n_iter,
                                        [run_rng(3, r) for r in range(n_runs)])
@@ -389,7 +389,7 @@ class TestLanes:
         curves = {}
         for count in (1, 2, 3):
             self.lanes(monkeypatch, count, estimators._LANE_MIN_DRAWS)  # the gate as it is
-            assert estimators._mc_lanes(34, 300, 250, False) == min(count, 2)
+            assert estimators.row_schedule(34, 300, 250, False).lanes == min(count, 2)
             curves[count] = lms_msd_trajectory(model, 0.3, 300,
                                                [run_rng(42, r) for r in range(34)])
         assert_array_equal(curves[2], curves[1])
@@ -401,7 +401,7 @@ class TestLanes:
         curves = {}
         for count in (1, 2):
             self.lanes(monkeypatch, count, estimators._LANE_MIN_DRAWS)  # the gate as it is
-            assert estimators._mc_lanes(50, 1000, 210, False) == count
+            assert estimators.row_schedule(50, 1000, 210, False).lanes == count
             curves[count] = lms_msd_trajectory(model, config.param, 1000,
                                                [run_rng(42, r) for r in range(50)])
         assert_array_equal(curves[2], curves[1])
@@ -434,14 +434,14 @@ class TestLanes:
         self.lanes(monkeypatch, 2, estimators._LANE_MIN_DRAWS)
         # runs, iterations, m: the grid's LMS and RLS rows, the largest
         # sampling-sweep row and a c03 row; draws per step of a chunk
-        assert estimators._mc_lanes(50, 1000, 210, False) == 2  # 25 x 210 = 5250 draws
-        assert estimators._mc_lanes(50, 200, 210, False) == 1  # 13 x 210 = 2730
-        assert estimators._mc_lanes(30, 200, 240, False) == 1  # 10 x 240 = 2400
-        assert estimators._mc_lanes(10_000, 200, 6, False) == 1  # 14 x 6 = 84
-        assert estimators._mc_lanes(50, 1000, 210, True) == 1  # frozen noise draws once
-        assert estimators._mc_lanes(31, 1000, 4096, False) == 1  # one chunk
+        assert estimators.row_schedule(50, 1000, 210, False).lanes == 2  # 25 x 210 = 5250 draws
+        assert estimators.row_schedule(50, 200, 210, False).lanes == 1  # 13 x 210 = 2730
+        assert estimators.row_schedule(30, 200, 240, False).lanes == 1  # 10 x 240 = 2400
+        assert estimators.row_schedule(10_000, 200, 6, False).lanes == 1  # 14 x 6 = 84
+        assert estimators.row_schedule(50, 1000, 210, True).lanes == 1  # frozen noise draws once
+        assert estimators.row_schedule(31, 1000, 4096, False).lanes == 1  # one chunk
         self.lanes(monkeypatch, 1, estimators._LANE_MIN_DRAWS)
-        assert estimators._mc_lanes(50, 1000, 210, False) == 1
+        assert estimators.row_schedule(50, 1000, 210, False).lanes == 1
 
     @pytest.mark.parametrize("min_draws, want", [(0, 1), (estimators._LANE_MIN_DRAWS, 2)],
                              ids=["splits", "under-the-gate"])

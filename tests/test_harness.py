@@ -1,5 +1,6 @@
 """Experiment configuration, seeding, Monte Carlo averaging and comparison."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +408,21 @@ class TestRowBlasHold:
                 run_experiment(config(**self.SPLIT))
         assert estimators._blas_threads() == 2
         assert self.counts(seen)["theory"] == {1}
+
+    @pytest.mark.parametrize("row, lanes", [
+        (SPLIT, 2), (ONE_LANE, 1), ({**SPLIT, "noise_protocol": "frozen"}, 1),
+    ], ids=["split", "one-lane", "frozen"])
+    def test_recorded_lanes_are_the_lanes_that_ran(self, monkeypatch, row, lanes):
+        # lane 0 runs in the calling thread and every other lane in one it starts
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        res = run_experiment(config(**row))
+        assert res.metadata["mc_lanes"] == 1 + len(started) == lanes
 
     def test_row_that_does_not_split_keeps_the_callers_count(self, monkeypatch):
         seen = self.record(monkeypatch)

@@ -160,6 +160,40 @@ def test_one_function_runs_and_writes_a_row():
         "cli.py:run_row:write_results_csv"]
 
 
+def private_estimators_reads(source: str) -> list[str]:
+    """Lines that read an _-prefixed name of estimators, as an attribute of
+    the module or by importing it from the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "estimators"):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("estimators"):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: estimators.{name}" for name in names
+                  if name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "estimators.py"] + sorted(
+    (ROOT / "scripts").glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_a_private_estimators_name(path):
+    # a row's schedule, lanes and BLAS hold are decided behind
+    # estimators.row_schedule alone; callers read its record
+    assert private_estimators_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_private_estimators_read():
+    source = ("from . import estimators\nfrom .estimators import SignalModel, _openblas\n"
+              "from gspest.estimators import _schedule\nestimators._blas_threads()\n"
+              "estimators.row_schedule(1, 2, 3, False).lanes\nother._blas_threads()\n")
+    assert private_estimators_reads(source) == [
+        "line 2: estimators._openblas", "line 3: estimators._schedule",
+        "line 4: estimators._blas_threads"]
+
+
 # each file-format call and the one function in io.py allowed to make it
 FORMAT_CALLS = {("csv", "reader"): "_read_csv", ("csv", "writer"): "_write_csv",
                 ("json", "load"): "_read_json", ("json", "dump"): "write_json",

@@ -145,7 +145,7 @@ def test_split_row_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 64 runs x 1025 steps: 2 chunks of 32 runs, 32 x 130 = 4160 draws per
     # step, so the row splits and holds one BLAS thread from its set on; a
     # random set and one cached basis leave the sampling nothing to move
-    assert estimators._schedule(64, 1025, 130)[3]
+    assert estimators.row_schedule(64, 1025, 130, False).hold
     config = {"algorithm": "lms", "param": 0.5, "k": 6, "bandwidth": 20, "sample_size": 130,
               "scenario": "iii", "iterations": 1025, "runs": 64, "master_seed": 42,
               "sampling_strategy": "random", "n_stations": 150}
