@@ -318,8 +318,8 @@ def _tile_loop(rec: ErrorRecursion, noise_map: np.ndarray, rngs: Sequence[np.ran
             vals[r0:r0 + len(chunk), t0:t0 + steps] = np.einsum("rtf,rtf->rt", tile, tile)
 
 
-def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
-                   rngs: Sequence[np.random.Generator], frozen_noise: bool) -> np.ndarray:
+def _msd_recursion(rec: ErrorRecursion, n_iter: int, rngs: Sequence[np.random.Generator],
+                   frozen_noise: bool) -> np.ndarray:
     """Squared error norm per step of every run at once, shape (len(rngs),
     n_iter): entry 0 is the zero initial estimate's error at t = 1 and each
     later entry follows one update. The coordinates are orthonormal, so this
@@ -340,8 +340,8 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     """
     if n_iter < 1:
         raise ValueError("need at least one iteration")
-    n_runs, m = len(rngs), len(rec.c_s)
     noise_map = np.sqrt(rec.c_s)[:, None] * (rec.step * rec.response)
+    n_runs, (m, f) = len(rngs), noise_map.shape
     vals = np.empty((n_runs, n_iter))
     vals[:, 0] = rec.delta0 @ rec.delta0
     if frozen_noise:
@@ -359,7 +359,7 @@ def _msd_recursion(model: SignalModel, rec: ErrorRecursion, n_iter: int,
     chunks = -(-n_runs // chunk)
     bounds = [chunk * (i * chunks // lanes) for i in range(lanes + 1)]
     jobs = [(rngs[a:b], vals[a:b], chunk, steps, np.empty(chunk * steps * m),
-             np.empty(chunk * steps * model.f), np.empty((chunk, model.f)))
+             np.empty(chunk * steps * f), np.empty((chunk, f)))
             for a, b in zip(bounds, bounds[1:])]
     errors = []
 
@@ -390,11 +390,11 @@ def lms_msd_trajectory(model: SignalModel, mu: float, n_iter: int,
                        frozen_noise: bool = False) -> np.ndarray:
     """MSD curves of LMS runs as _msd_recursion gives them; a traced entry point
     (perfbench/tracer.py), identical to iterating tests/oracle.py's lms_step."""
-    return _msd_recursion(model, model.recursion("lms", mu), n_iter, rngs, frozen_noise)
+    return _msd_recursion(model.recursion("lms", mu), n_iter, rngs, frozen_noise)
 
 
 def rls_msd_trajectory(model: SignalModel, lam: float, n_iter: int,
                        rngs: Sequence[np.random.Generator],
                        frozen_noise: bool = False) -> np.ndarray:
     """The same for RLS runs; a traced entry point, matching the oracle's rls_step."""
-    return _msd_recursion(model, model.recursion("rls", lam), n_iter, rngs, frozen_noise)
+    return _msd_recursion(model.recursion("rls", lam), n_iter, rngs, frozen_noise)

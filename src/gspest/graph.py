@@ -200,13 +200,9 @@ def gft_basis(lap: np.ndarray) -> GftBasis:
     if np.max(np.abs(lap - lap.T)) > 1e-10 * scale:
         raise ValueError("laplacian must be symmetric")
     vals, vecs = np.linalg.eigh(lap)  # raises LinAlgError if no convergence
-    vecs = vecs.copy()
-    for j in range(n):
-        col = vecs[:, j]
-        big = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if big.size and col[big[0]] < 0:
-            vecs[:, j] = -col
-    return GftBasis(eigenvalues=vals, vectors=vecs)
+    big = np.abs(vecs) > _SIGN_EPS
+    flip = big.any(axis=0) & (vecs[big.argmax(axis=0), np.arange(n)] < 0)
+    return GftBasis(eigenvalues=vals, vectors=np.where(flip, -vecs, vecs))
 
 
 def band_select(basis: GftBasis, f: int) -> BandBasis:

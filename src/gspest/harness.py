@@ -21,8 +21,8 @@ import numpy as np
 
 from . import estimators, theory
 from .estimators import ErrorRecursion, SignalModel, estimator
-from .graph import (BandBasis, StationTable, band_select, build_knn_graph, gft_basis,
-                    laplacian, project_bandlimited)
+from .graph import (BandBasis, StationTable, _frozen_array, band_select, build_knn_graph,
+                    gft_basis, laplacian, project_bandlimited)
 from .noise import build_cw, scenario_coefficients
 from .sampling import SamplingSet, greedy_max_lambda_min, random_sampling
 from .theory import TheoryCurve, limits
@@ -275,22 +275,45 @@ class DeviationStats:
     # is the same, the SE is 0.0 and z NaN
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    """Averaged Monte Carlo output plus both theory curves."""
+    """A row's Monte Carlo and theory curves, valid from construction: it
+    derives the average, its standard error and the dB curves from them, and
+    the tail deviation unless one is given, so dataclasses.replace derives
+    them again from the curves it is given."""
 
     config: ExperimentConfig
-    t: np.ndarray  # iteration index, starts at 1
-    msd_mean: np.ndarray  # linear average over runs
-    msd_mean_db: np.ndarray
-    msd_se: np.ndarray  # per-iteration standard error of the mean, linear; NaN for one run
     per_run: np.ndarray  # one linear MSD curve per run, shape (runs, iterations)
     theory_paper: TheoryCurve
     theory_exact: TheoryCurve
-    theory_paper_db: np.ndarray
-    theory_exact_db: np.ndarray
-    deviation: DeviationStats
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
+    deviation: DeviationStats | None = None  # compare(self) when not given
+    _derived: DeviationStats | None = field(default=None, repr=False)  # compare(self), if derived
+    t: np.ndarray = field(init=False)  # iteration index, starts at 1
+    msd_mean: np.ndarray = field(init=False)  # linear average over runs
+    msd_mean_db: np.ndarray = field(init=False)
+    msd_se: np.ndarray = field(init=False)  # per-iteration standard error of the mean, linear; NaN for one run
+    theory_paper_db: np.ndarray = field(init=False)
+    theory_exact_db: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        per_run = _frozen_array(self.per_run)
+        n_runs, t_count = per_run.shape
+        msd_mean = per_run.mean(axis=0)
+        if n_runs > 1:
+            msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
+        else:
+            msd_se = np.full(t_count, np.nan)
+        derived = {"per_run": per_run, "t": np.arange(1, t_count + 1), "msd_mean": msd_mean,
+                   "msd_mean_db": _to_db(msd_mean), "msd_se": msd_se,
+                   "theory_paper_db": _to_db(self.theory_paper.values),
+                   "theory_exact_db": _to_db(self.theory_exact.values)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        # a replace copies the deviation derived for the old curves: derive it again
+        if self.deviation is None or self.deviation is self._derived:
+            object.__setattr__(self, "deviation", compare(self, DEFAULT_BURN_IN))
+            object.__setattr__(self, "_derived", self.deviation)
 
 
 def _to_db(values: np.ndarray) -> np.ndarray:
@@ -378,7 +401,7 @@ def _limit_diagnostics(rec: ErrorRecursion) -> dict:
 
 def run_experiment(config: ExperimentConfig, stations: StationTable | None = None,
                    basis=None) -> RunResult:
-    """Run the full pipeline: prepare, simulate R runs, average, compare.
+    """Prepare, predict and simulate R runs; the RunResult averages and compares them.
 
     Per-run noise comes from child seeds of (master_seed, run index), so the
     result is bit-identical for a given config; runs are reduced in
@@ -400,11 +423,6 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         per_run = trajectory(model, config.param, t_count,
                              [run_rng(config.master_seed, r) for r in range(n_runs)],
                              frozen_noise=frozen)
-        msd_mean = per_run.mean(axis=0)
-        if n_runs > 1:
-            msd_se = per_run.std(axis=0, ddof=1) / math.sqrt(n_runs)
-        else:
-            msd_se = np.full(t_count, np.nan)
         simulated = time.perf_counter()
         diagnostics = _limit_diagnostics(model.recursion(config.algorithm, config.param))
     metadata = {
@@ -427,19 +445,4 @@ def run_experiment(config: ExperimentConfig, stations: StationTable | None = Non
         warnings.warn(f"{est.param_name} {config.param} is at or above the stability "
                       f"limit {bound:.6g}; the mean trajectory will diverge",
                       RuntimeWarning, stacklevel=2)
-    result = RunResult(
-        config=config,
-        t=np.arange(1, t_count + 1),
-        msd_mean=msd_mean,
-        msd_mean_db=_to_db(msd_mean),
-        msd_se=msd_se,
-        per_run=per_run,
-        theory_paper=theory_paper,
-        theory_exact=theory_exact,
-        theory_paper_db=_to_db(theory_paper.values),
-        theory_exact_db=_to_db(theory_exact.values),
-        deviation=None,  # filled below
-        metadata=metadata,
-    )
-    result.deviation = compare(result, DEFAULT_BURN_IN)
-    return result
+    return RunResult(config, per_run, theory_paper, theory_exact, metadata)

@@ -174,6 +174,27 @@ class TestGftBasis:
             big = np.nonzero(np.abs(col) > 1e-9)[0]
             assert col[big[0]] > 0
 
+    @pytest.mark.parametrize("graph", ["knn10", "star5"])
+    def test_sign_rule_matches_column_loop(self, graph, stations10):
+        # the star's eigenvalue 1 is triple, and eigh leaves those vectors
+        # exact zeros at the centre (-0.0 once flipped), so their first big
+        # entry is not in row 0
+        if graph == "star5":
+            adj = np.zeros((5, 5))
+            adj[0, 1:] = adj[1:, 0] = 1.0
+            lap = laplacian(Graph(adjacency=adj))
+        else:
+            lap = laplacian(build_knn_graph(stations10, 3))
+        basis = gft_basis(lap)
+        vecs = np.linalg.eigh(lap)[1].copy()
+        for j in range(vecs.shape[1]):  # the reference: one column at a time
+            col = vecs[:, j]
+            big = np.nonzero(np.abs(col) > 1e-9)[0]
+            if col[big[0]] < 0:
+                vecs[:, j] = -col
+            assert basis.vectors[big[0], j] > 0
+        assert basis.vectors.tobytes() == vecs.tobytes()
+
     def test_deterministic(self, stations10):
         lap = laplacian(build_knn_graph(stations10, 3))
         assert_array_equal(gft_basis(lap).vectors, gft_basis(lap).vectors)

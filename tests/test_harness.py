@@ -1,7 +1,7 @@
 """Experiment configuration, seeding, Monte Carlo averaging and comparison."""
 
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -524,3 +524,44 @@ class TestCompare:
         res = run_experiment(config())
         stats = compare(res, burn_in_fraction=0.0)
         assert stats.n_tail == BASE["iterations"]
+
+
+class TestRunResult:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_experiment(config())
+
+    def test_every_attribute_is_frozen(self, result):
+        for f in fields(result):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, f.name, getattr(result, f.name))
+
+    def test_per_run_is_read_only(self, result):
+        assert not result.per_run.flags.writeable
+
+    def test_replace_derives_the_record_again(self, result):
+        assert np.isfinite(result.deviation.exact_tail_z)
+        one = replace(result, per_run=result.per_run[:1])
+        assert_array_equal(one.msd_mean, result.per_run[0])
+        assert np.isnan(one.msd_se).all()
+        assert np.isnan(one.deviation.exact_tail_z)
+
+    def test_replace_keeps_a_given_deviation(self, result):
+        given = replace(result.deviation, tail_se_db=np.inf)
+        kept = replace(result, deviation=given)
+        assert kept.deviation is given
+        assert_array_equal(kept.msd_se, result.msd_se)
+        assert replace(kept, per_run=result.per_run[:1]).deviation is given
+
+    def test_compare_called_once_by_its_module_name(self, monkeypatch):
+        # perfbench/tracer.py counts the row's compare through harness.compare
+        calls = []
+
+        def counted(result, burn_in_fraction=harness.DEFAULT_BURN_IN):
+            calls.append(burn_in_fraction)
+            return compare(result, burn_in_fraction)
+
+        monkeypatch.setattr(harness, "compare", counted)
+        res = run_experiment(config(runs=2))
+        assert calls == [harness.DEFAULT_BURN_IN]
+        assert res.deviation == compare(res)

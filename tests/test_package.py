@@ -259,6 +259,11 @@ def _constructors(arr):
         "TheoryCurve": lambda: gspest.TheoryCurve(mode="exact", values=arr([4.0, 1.0])),
         "ErrorRecursion": lambda: ErrorRecursion(decay=arr([0.5]), step=0.5, response=arr([[1.0]]),
                                                  delta0=arr([-2.0]), c_s=arr([0.25])),
+        "RunResult": lambda: gspest.RunResult(
+            gspest.ExperimentConfig(algorithm="lms", param=0.5, k=1, bandwidth=1, sample_size=1,
+                                    scenario="iii", iterations=2, runs=2, master_seed=0),
+            arr([[4.0, 1.0], [4.0, 0.5]]), gspest.TheoryCurve(mode="paper", values=arr([4.0, 0.8])),
+            gspest.TheoryCurve(mode="exact", values=arr([4.0, 0.7])), {}),
     }
 
 
